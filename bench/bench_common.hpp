@@ -57,6 +57,12 @@ inline harness::BenchOptions benchOptions(int argc, char** argv,
   return options;
 }
 
+// The two paper scenario builders below end with
+// harness::applyEnvironmentOverrides, so MESH_RATE_CONTROL, MESH_CHANNELS,
+// MESH_DOMAIN_WORKERS and MESH_GATEWAYS re-run any bench built on them
+// without editing it. Benches that set those fields themselves (scale,
+// snapshot setup, micro) build their configs directly and ignore them.
+
 // The Section 4.1 scenario: 50 nodes, 1000 m², Rayleigh, 2 groups × 10
 // members, 1 source each (unless overridden), CBR 512 B × 20 pkt/s.
 inline harness::ScenarioConfig simulationScenario(std::uint64_t topologySeed,
@@ -67,6 +73,7 @@ inline harness::ScenarioConfig simulationScenario(std::uint64_t topologySeed,
   Rng groupRng = Rng{topologySeed}.fork("groups");
   config.groups = harness::makeRandomGroups(config.nodeCount, 2, 10,
                                             sourcesPerGroup, groupRng);
+  harness::applyEnvironmentOverrides(config);
   return config;
 }
 
@@ -90,6 +97,7 @@ inline harness::ScenarioConfig testbedScenario(std::uint64_t runSeed) {
     config.groups.push_back(
         harness::GroupSpec{group.group, group.sources, group.members});
   }
+  harness::applyEnvironmentOverrides(config);
   return config;
 }
 

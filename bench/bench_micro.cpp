@@ -384,16 +384,14 @@ void BM_ChannelTransmit(benchmark::State& state) {
 BENCHMARK(BM_ChannelTransmit);
 
 // Shared rig for the reachability-build and fan-out benches: n radios
-// placed uniformly at a given density, spatial index forced on or off.
-// (If MESH_SPATIAL_INDEX is set in the environment it overrides the knob,
-// so clear it before trusting a Grid-vs-Scan comparison.)
+// placed uniformly at a given density.
 struct ReachabilityRig {
   sim::Simulator simulator;
   phy::PhyParams params;
   std::unique_ptr<phy::Channel> channel;
   std::vector<std::unique_ptr<phy::Radio>> radios;
 
-  ReachabilityRig(std::int64_t n, double nodesPerKm2, bool spatial) {
+  ReachabilityRig(std::int64_t n, double nodesPerKm2) {
     const double side =
         1000.0 * std::sqrt(static_cast<double>(n) / nodesPerKm2);
     std::vector<Vec2> positions;
@@ -407,7 +405,6 @@ struct ReachabilityRig {
         std::make_unique<phy::RayleighFading>());
     channel =
         std::make_unique<phy::Channel>(simulator, std::move(model), Rng{12});
-    channel->setSpatialIndex(spatial);
     for (std::int64_t i = 0; i < n; ++i) {
       radios.push_back(std::make_unique<phy::Radio>(
           simulator, static_cast<net::NodeId>(i), params));
@@ -416,16 +413,13 @@ struct ReachabilityRig {
   }
 };
 
-// Full reachability rebuild cost, grid vs. exhaustive pair scan, across
-// the 50 -> 1000 node sweep. Density is fixed well below the paper's
-// 50/km² (2/km²: the ~1.3 km reach disk then holds ~10 nodes) so the
-// per-row candidate count k stays small and constant while n grows — the
-// regime where O(n·k) visibly separates from O(n²). At the paper's own
-// density the reach disk covers most of a 50-node area and the two paths
-// converge; the win there comes from scale (bench_scale), not per-row
-// sparsity.
+// Full reachability rebuild cost on the uniform grid across the 50 -> 1000
+// node sweep. Density is fixed well below the paper's 50/km² (2/km²: the
+// ~1.3 km reach disk then holds ~10 nodes) so the per-row candidate count
+// k stays small and constant while n grows — the regime where the build
+// must scale as O(n·k), not O(n²).
 void BM_BuildReachabilityGrid(benchmark::State& state) {
-  ReachabilityRig rig{state.range(0), 2.0, /*spatial=*/true};
+  ReachabilityRig rig{state.range(0), 2.0};
   for (auto _ : state) {
     rig.channel->rebuildReachabilityNow();
     benchmark::DoNotOptimize(rig.channel->stats().reachabilityRebuilds);
@@ -434,23 +428,13 @@ void BM_BuildReachabilityGrid(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildReachabilityGrid)->Arg(50)->Arg(200)->Arg(500)->Arg(1000);
 
-void BM_BuildReachabilityScan(benchmark::State& state) {
-  ReachabilityRig rig{state.range(0), 2.0, /*spatial=*/false};
-  for (auto _ : state) {
-    rig.channel->rebuildReachabilityNow();
-    benchmark::DoNotOptimize(rig.channel->stats().reachabilityRebuilds);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_BuildReachabilityScan)->Arg(50)->Arg(200)->Arg(500)->Arg(1000);
-
 // Per-transmission cost at the paper's density as the mesh scales. The
 // cached receiver row holds the nodes inside one ~1.3 km reach disk —
 // about 270 at 50 nodes/km² — so per-transmit cost grows until the area
 // outgrows the disk (n ≈ 300) and must stay flat from there to 1000
 // nodes: O(k) in disk occupancy, not O(n) in mesh size.
 void BM_TransmitFanout(benchmark::State& state) {
-  ReachabilityRig rig{state.range(0), 50.0, /*spatial=*/true};
+  ReachabilityRig rig{state.range(0), 50.0};
   const auto n = static_cast<std::size_t>(state.range(0));
   auto frame = phy::makeFrame(std::vector<std::uint8_t>(540, 0), nullptr);
   const SimTime airtime = rig.params.frameAirtime(540);

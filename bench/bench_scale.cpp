@@ -7,9 +7,7 @@
 // keep the paper's 50 nodes/km² density, and reports protocol metrics so
 // a sane PDR at 500 nodes is part of the perf story, not assumed.
 //
-// Quick by default (1 topology × 40 s). MESH_BENCH_* overrides apply;
-// MESH_SPATIAL_INDEX=off reruns the sweep on the O(n²) path for an
-// end-to-end A/B.
+// Quick by default (1 topology × 40 s). MESH_BENCH_* overrides apply.
 
 #include "bench_common.hpp"
 

@@ -36,9 +36,13 @@ struct FaultEvent {
   double lossRate{1.0};    // LossRamp target
   double powerDbm{-55.0};  // InterferenceBurst strength at the victim
   // Multi-channel scoping: a gateway has a radio in several domains, so
-  // one configured fault becomes one scoped copy per domain. Only the copy
-  // in the victim's home domain records FaultInject/FaultClear — the
-  // others set traced=false so the merged trace carries each fault once.
+  // one configured radio-level fault becomes one scoped copy per domain
+  // where the victim (and for link faults the peer) has a radio. Only the
+  // copy in the lowest such domain — not necessarily the victim's home
+  // domain — records FaultInject/FaultClear and counts in the
+  // RecoveryReport; the others set traced=false so the merged trace and
+  // the run's fault counts carry each fault once. Node-level faults get a
+  // single copy, in the home domain.
   bool traced{true};
 };
 

@@ -82,7 +82,9 @@ void RecoveryAnalyzer::pollRepair(std::size_t index) {
 RecoveryReport RecoveryAnalyzer::report() const {
   RecoveryReport report;
   for (const FaultEvent& event : schedule_.events()) {
-    if (event.start >= horizon_) continue;
+    // Untraced copies are the extra domains of a multi-domain fault; the
+    // traced copy alone stands for the configured event.
+    if (!event.traced || event.start >= horizon_) continue;
     ++report.faultsApplied;
     if (!event.duration.isZero() &&
         event.start + event.duration <= horizon_) {

@@ -23,6 +23,7 @@
 namespace mesh::fault {
 
 struct RecoveryReport {
+  // Traced schedule events only (see FaultEvent::traced).
   std::uint64_t faultsApplied{0};
   std::uint64_t faultsCleared{0};
   double faultWindowS{0.0};  // union of fault windows, clamped to the run

@@ -217,12 +217,6 @@ class Parser {
       config.ensureConnected = *b;
       return {};
     }
-    if (key == "spatial_index") {
-      const auto b = boolean(value);
-      if (!b) return "spatial_index must be a boolean";
-      config.spatialIndex = *b;
-      return {};
-    }
     if (key == "rate_control") {
       const std::string r = lower(value);
       if (!rate::controlKindFromString(r.c_str(), config.rateControl)) {

@@ -1,6 +1,7 @@
 #include "mesh/harness/experiment.hpp"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 namespace mesh::harness {
@@ -53,6 +54,53 @@ BenchOptions BenchOptions::fromEnvironment(std::size_t defaultTopologies,
     if (trace[0] != '\0') options.traceDir = trace;
   }
   return options;
+}
+
+void applyEnvironmentOverrides(ScenarioConfig& config) {
+  // Unsigned parse of a whole string; false on garbage or a bad range.
+  const auto parseCount = [](const char* text, unsigned long long minValue,
+                             unsigned long long maxValue, std::size_t& out) {
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (errno != 0 || end == text || *end != '\0' || v < minValue ||
+        v > maxValue) {
+      return false;
+    }
+    out = static_cast<std::size_t>(v);
+    return true;
+  };
+  const auto read = [](const char* name) -> const char* {
+    const char* env = std::getenv(name);
+    return env != nullptr && *env != '\0' ? env : nullptr;
+  };
+
+  if (const char* env = read("MESH_RATE_CONTROL")) {
+    if (!rate::controlKindFromString(env, config.rateControl)) {
+      std::fprintf(stderr,
+                   "MESH_RATE_CONTROL=%s ignored (fixed/minstrel/genie)\n",
+                   env);
+    }
+  }
+  if (const char* env = read("MESH_CHANNELS")) {
+    if (!parseCount(env, 1, 255, config.channels)) {
+      std::fprintf(stderr, "MESH_CHANNELS=%s ignored (want 1..255)\n", env);
+    }
+  }
+  if (const char* env = read("MESH_DOMAIN_WORKERS")) {
+    if (!parseCount(env, 1, ~0ull, config.domainWorkers)) {
+      std::fprintf(stderr, "MESH_DOMAIN_WORKERS=%s ignored (want >= 1)\n",
+                   env);
+    }
+  }
+  // 0 disables the relay even when the config names gateway nodes.
+  if (const char* env = read("MESH_GATEWAYS")) {
+    if (!parseCount(env, 0, ~0ull, config.gateways)) {
+      std::fprintf(stderr, "MESH_GATEWAYS=%s ignored (want a count)\n", env);
+    } else if (config.gateways == 0) {
+      config.gatewayNodes.clear();
+    }
+  }
 }
 
 std::vector<ProtocolSpec> figure2Protocols(double probeRateScale) {

@@ -63,6 +63,19 @@ struct BenchOptions {
                                       std::int64_t defaultDurationS = 400);
 };
 
+// Applies the scenario-level environment overrides to `config`:
+//
+//   MESH_RATE_CONTROL    "fixed" / "minstrel" / "genie" -> rateControl
+//   MESH_CHANNELS        1..255 -> channels
+//   MESH_DOMAIN_WORKERS  >= 1 -> domainWorkers
+//   MESH_GATEWAYS        a count -> gateways (0 also clears gatewayNodes)
+//
+// Unset or empty variables leave the config alone; malformed values are
+// reported on stderr and ignored. Only program entry points call this
+// (meshsim and the bench scenario builders): the library itself never
+// reads the environment, so a Simulation is a pure function of its config.
+void applyEnvironmentOverrides(ScenarioConfig& config);
+
 // Per-protocol aggregation across topologies.
 struct ComparisonRow {
   ProtocolSpec protocol;

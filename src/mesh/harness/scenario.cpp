@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 
@@ -13,6 +12,14 @@
 #include "mesh/phy/propagation.hpp"
 
 namespace mesh::harness {
+namespace {
+
+std::unique_ptr<phy::FadingModel> makeFading(bool rayleigh) {
+  if (rayleigh) return std::make_unique<phy::RayleighFading>();
+  return std::make_unique<phy::NoFading>();
+}
+
+}  // namespace
 
 ScenarioConfig paperSimulationScenario() {
   ScenarioConfig config;
@@ -224,86 +231,17 @@ void Simulation::installPool(sim::Simulator& sim) {
       [prev] { net::PacketPool::setCurrent(*prev); });
 }
 
-void Simulation::build() {
-  Rng rng{config_.seed};
-
-  // MESH_RATE_CONTROL overrides the configured controller — the same
-  // escape hatch pattern as MESH_SPATIAL_INDEX, for A/B runs without
-  // touching configs.
-  if (const char* env = std::getenv("MESH_RATE_CONTROL");
-      env != nullptr && *env != '\0') {
-    rate::ControlKind parsed;
-    if (rate::controlKindFromString(env, parsed)) {
-      config_.rateControl = parsed;
-    } else {
-      std::fprintf(stderr,
-                   "MESH_RATE_CONTROL=%s ignored (fixed/minstrel/genie)\n",
-                   env);
-    }
-  }
-
-  // MESH_CHANNELS / MESH_DOMAIN_WORKERS: the channel plan's A/B escape
-  // hatches, same pattern.
-  if (const char* env = std::getenv("MESH_CHANNELS");
-      env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1 && v <= 255) {
-      config_.channels = static_cast<std::size_t>(v);
-    } else {
-      std::fprintf(stderr, "MESH_CHANNELS=%s ignored (want 1..255)\n", env);
-    }
-  }
-  if (const char* env = std::getenv("MESH_DOMAIN_WORKERS");
-      env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1) {
-      config_.domainWorkers = static_cast<std::size_t>(v);
-    } else {
-      std::fprintf(stderr, "MESH_DOMAIN_WORKERS=%s ignored (want >= 1)\n", env);
-    }
-  }
-  // MESH_GATEWAYS: gateway-count escape hatch (0 disables the relay even
-  // when the config asks for gateways).
-  if (const char* env = std::getenv("MESH_GATEWAYS");
-      env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0') {
-      config_.gateways = static_cast<std::size_t>(v);
-      if (v == 0) config_.gatewayNodes.clear();
-    } else {
-      std::fprintf(stderr, "MESH_GATEWAYS=%s ignored (want a count)\n", env);
-    }
-  }
-
-  if (config_.channels > 1 || config_.forceChannelPlan) {
-    buildMultiChannel(rng);
-    return;
-  }
-
-  installPool(simulator_);
-
-  if (!config_.tracePath.empty()) {
-    trace_ = std::make_unique<trace::TraceCollector>(config_.tracePath +
-                                                     ".spill");
-  }
-
-  if (config_.protocol.metric) {
-    metric_ = metrics::makeMetric(*config_.protocol.metric,
-                                  config_.traffic.payloadBytes);
-  }
-
-  std::unique_ptr<phy::LinkModel> linkModel;
+std::unique_ptr<phy::LinkModel> Simulation::makeDynamicLinkModel(Rng& rng) {
+  sim::Simulator& simulator = *sims_[0];
   if (config_.linkModelFactory) {
     Rng modelRng = rng.fork("linkmodel");
-    linkModel = config_.linkModelFactory(simulator_, modelRng);
     positions_ = config_.fixedPositions;
     if (config_.nodeCount == 0 && !positions_.empty()) {
       config_.nodeCount = positions_.size();
     }
-  } else if (config_.mobilityMaxSpeedMps > 0.0) {
+    return config_.linkModelFactory(simulator, modelRng);
+  }
+  if (config_.mobilityMaxSpeedMps > 0.0) {
     phy::RandomWaypointMobility::Params mobilityParams;
     mobilityParams.areaWidthM = config_.areaWidthM;
     mobilityParams.areaHeightM = config_.areaHeightM;
@@ -314,54 +252,96 @@ void Simulation::build() {
     auto mobility = std::make_unique<phy::RandomWaypointMobility>(
         config_.nodeCount, mobilityParams, rng.fork("mobility"));
     positions_ = mobility->initialPositions();
-    std::unique_ptr<phy::FadingModel> fading;
-    if (config_.rayleighFading) {
-      fading = std::make_unique<phy::RayleighFading>();
-    } else {
-      fading = std::make_unique<phy::NoFading>();
-    }
-    linkModel = std::make_unique<phy::MobileGeometricLinkModel>(
-        simulator_, config_.node.phy, std::move(mobility),
-        std::make_unique<phy::TwoRayGroundModel>(), std::move(fading));
+    return std::make_unique<phy::MobileGeometricLinkModel>(
+        simulator, config_.node.phy, std::move(mobility),
+        std::make_unique<phy::TwoRayGroundModel>(),
+        makeFading(config_.rayleighFading));
+  }
+  return nullptr;
+}
+
+void Simulation::build() {
+  // Orthogonal collision domains need static geometry: the plan is decided
+  // once from positions, and a custom or mobile link model would move
+  // state across domains mid-run.
+  const bool staticGeometry = snapshotEligible(config_);
+  MESH_REQUIRE(config_.channels >= 1 && config_.channels <= 255);
+  MESH_REQUIRE(staticGeometry || config_.channels == 1);
+  const std::size_t domains = config_.channels;
+  Rng rng{config_.seed};
+
+  if (config_.protocol.metric) {
+    metric_ = metrics::makeMetric(*config_.protocol.metric,
+                                  config_.traffic.payloadBytes);
+  }
+  for (std::size_t d = 0; d < domains; ++d) {
+    sims_.push_back(std::make_unique<sim::Simulator>());
+    installPool(*sims_[d]);
+  }
+
+  std::unique_ptr<phy::LinkModel> dynamicModel = makeDynamicLinkModel(rng);
+  if (adopted_ != nullptr) {
+    MESH_REQUIRE(adopted_->positions.size() == config_.nodeCount);
+    MESH_REQUIRE(adopted_->plan.channels == domains);
+    positions_ = adopted_->positions;
+    plan_ = adopted_->plan;
   } else {
-    if (adopted_ != nullptr) {
-      // The placement draws come from rng.fork("placement"), a const fork:
-      // skipping them cannot perturb any other stream.
-      MESH_REQUIRE(adopted_->positions.size() == config_.nodeCount);
-      positions_ = adopted_->positions;
-    } else {
+    if (dynamicModel == nullptr) {
       Rng placeRng = rng.fork("placement");
       positions_ = placePositions(placeRng);
     }
-    std::unique_ptr<phy::FadingModel> fading;
-    if (config_.rayleighFading) {
-      fading = std::make_unique<phy::RayleighFading>();
-    } else {
-      fading = std::make_unique<phy::NoFading>();
-    }
-    linkModel = std::make_unique<phy::GeometricLinkModel>(
-        config_.node.phy, positions_, std::make_unique<phy::TwoRayGroundModel>(),
-        std::move(fading));
+    // Display-free custom models carry no positions; their single domain
+    // needs none, so the plan is drawn over placeholders.
+    const std::vector<Vec2> placeholders(
+        positions_.size() == config_.nodeCount ? 0 : config_.nodeCount);
+    // 250 m: the nominal reception range — the radius inside which two
+    // same-channel nodes contend.
+    plan_ = channelplan::makeChannelPlan(
+        config_.channelAssign, domains,
+        placeholders.empty() ? positions_ : placeholders, 250.0);
   }
 
-  channel_ = std::make_unique<phy::Channel>(simulator_, std::move(linkModel),
-                                            rng.fork("channel"));
-  channel_->setSpatialIndex(config_.spatialIndex);
-  if (trace_ != nullptr) channel_->setTrace(trace_.get());
-  // Rate subsystem: build the shared table when anything rate-aware is
-  // configured. The basic rate tracks the PHY bitrate so code-0 and
-  // basic-code airtimes agree.
   if (config_.rateControl != rate::ControlKind::Fixed ||
       config_.rateSet != rate::RateSetKind::Basic) {
+    // The basic rate tracks the PHY bitrate so code-0 and basic-code
+    // airtimes agree.
     rateTable_ = std::make_unique<rate::RateTable>(rate::RateTable::forSet(
         config_.rateSet, config_.node.phy.bitRateBps));
-    channel_->setRateTable(rateTable_.get());
+  }
+
+  for (std::size_t d = 0; d < domains; ++d) {
+    if (!config_.tracePath.empty()) {
+      auto collector = std::make_unique<trace::TraceCollector>(
+          config_.tracePath + ".spill." + std::to_string(d));
+      // Tag 0 on one-domain plans keeps record bytes single-channel.
+      if (domains > 1) {
+        collector->setChannelTag(static_cast<std::uint8_t>(d + 1));
+      }
+      traces_.push_back(std::move(collector));
+    }
+    // Every static domain's model indexes the full position vector by
+    // global node id; a Channel only consults radios attached to it, so
+    // carrier sense, NAV, busy power and reachability are per-domain state
+    // for free.
+    std::unique_ptr<phy::LinkModel> linkModel =
+        dynamicModel != nullptr
+            ? std::move(dynamicModel)
+            : std::make_unique<phy::GeometricLinkModel>(
+                  config_.node.phy, positions_,
+                  std::make_unique<phy::TwoRayGroundModel>(),
+                  makeFading(config_.rayleighFading));
+    // fork("channel", 0) == fork("channel"): domain 0 draws the
+    // single-channel stream.
+    channels_.push_back(std::make_unique<phy::Channel>(
+        *sims_[d], std::move(linkModel), rng.fork("channel", d)));
+    if (!traces_.empty()) channels_[d]->setTrace(traces_[d].get());
+    if (rateTable_ != nullptr) channels_[d]->setRateTable(rateTable_.get());
   }
   if (config_.mobilityMaxSpeedMps > 0.0) {
     // Fading headroom gives the cache ~3.4x distance slack over the CS
     // range (~1.3 km); refresh every 2 s so even 30 m/s nodes cannot
     // outrun it.
-    channel_->enableReachabilityRefresh(SimTime::seconds(std::int64_t{2}));
+    channels_[0]->enableReachabilityRefresh(SimTime::seconds(std::int64_t{2}));
   }
 
   MeshNodeConfig nodeConfig = config_.node;
@@ -372,12 +352,35 @@ void Simulation::build() {
   nodeConfig.rateTable = rateTable_.get();
   nodes_.reserve(config_.nodeCount);
   registry_.hintSlotsPerSeries(config_.nodeCount + 1);
-  for (std::size_t i = 0; i < config_.nodeCount; ++i) {
-    nodes_.push_back(std::make_unique<MeshNode>(
-        simulator_, *channel_, static_cast<net::NodeId>(i), nodeConfig,
-        metric_.get(), rng.fork("node", i), trace_.get()));
-    nodes_.back()->registerCounters(registry_);
+  // One domain registers straight into the run-level registry: a second
+  // registry plus absorb() would cost set-up time and memory per world
+  // for identical counts.
+  if (domains == 1) {
+    domainRegistries_.push_back(&registry_);
+  } else {
+    for (std::size_t d = 0; d < domains; ++d) {
+      auto& owned = ownedRegistries_.emplace_back(
+          std::make_unique<trace::CounterRegistry>());
+      owned->hintSlotsPerSeries(config_.nodeCount / domains + 2);
+      domainRegistries_.push_back(owned.get());
+    }
   }
+  for (std::size_t i = 0; i < config_.nodeCount; ++i) {
+    const auto id = static_cast<net::NodeId>(i);
+    const std::size_t d = plan_.channelOf(id);
+    trace::TraceCollector* collector =
+        traces_.empty() ? nullptr : traces_[d].get();
+    nodes_.push_back(std::make_unique<MeshNode>(
+        *sims_[d], *channels_[d], id, nodeConfig, metric_.get(),
+        rng.fork("node", i), collector));
+    // Nodes register into their domain registry only — what per-channel
+    // results and the recovery analyzers read. With several domains the
+    // run-level taxonomy in registry_ absorbs every domain registry after
+    // the loop: same shared slots, one bulk map walk instead of a second
+    // per-node registration.
+    nodes_.back()->registerCounters(*domainRegistries_[d]);
+  }
+  for (const auto& owned : ownedRegistries_) registry_.absorb(*owned);
 
   for (const GroupSpec& spec : config_.groups) {
     for (const net::NodeId member : spec.members) {
@@ -392,9 +395,85 @@ void Simulation::build() {
 
   for (auto& node : nodes_) node->start();
 
+  buildGateways(rng);
   // Faults last: the schedule is merged (explicit + generated churn) and
   // armed against the fully built simulation.
-  fault::FaultSchedule schedule = config_.faults;
+  buildFaults(rng);
+
+  // Snapshot-eligible worlds force the reachability build at construction
+  // (DESIGN §14). Builds draw no RNG and static positions make t=0 rows
+  // identical to the lazy first-transmission build, so results cannot
+  // change — and construction cost lands in setup_seconds whether the
+  // snapshot cache is on or off, keeping the amortization A/B honest.
+  // Adopting runs splice the frozen rows in instead of rebuilding. Runs
+  // after gateway wiring so the rows cover the relay's port radios, which
+  // attach after each domain's own nodes.
+  if (staticGeometry) {
+    for (std::size_t d = 0; d < domains; ++d) {
+      if (adopted_ != nullptr) {
+        channels_[d]->adoptReachability(adopted_->reach.at(d));
+      } else {
+        channels_[d]->rebuildReachabilityNow();
+      }
+    }
+  }
+}
+
+void Simulation::buildGateways(Rng& rng) {
+  // Cross-domain gateways: the roster is deterministic (RNG-free given the
+  // plan and positions), then the relay wires one port Radio + MAC per
+  // foreign domain onto each gateway and the node's outbound broadcasts
+  // are tapped for staging. gateways == 0 builds none of this — the
+  // multi-channel path stays byte-identical to the gateway-less simulator.
+  const std::size_t domains = plan_.channels;
+  if (domains == 1 || (config_.gateways == 0 && config_.gatewayNodes.empty())) {
+    return;
+  }
+  if (adopted_ != nullptr) {
+    gatewaySet_ = adopted_->gatewaySet;
+  } else {
+    gateway::GatewaySelect select = config_.gatewaySelect;
+    if (!config_.gatewayNodes.empty()) {
+      select = gateway::GatewaySelect::Explicit;
+    }
+    // 250 m: the same nominal reception range the channel plan scores
+    // boundary candidates against.
+    gatewaySet_ = gateway::makeGatewaySet(select, config_.gateways,
+                                          config_.gatewayNodes, plan_,
+                                          positions_, 250.0);
+  }
+  std::vector<gateway::GatewayRelay::DomainContext> contexts;
+  contexts.reserve(domains);
+  for (std::size_t d = 0; d < domains; ++d) {
+    contexts.push_back(gateway::GatewayRelay::DomainContext{
+        sims_[d].get(), channels_[d].get(), pools_[d].get(),
+        traces_.empty() ? nullptr : traces_[d].get()});
+  }
+  relay_ = std::make_unique<gateway::GatewayRelay>(std::move(contexts));
+  for (const net::NodeId g : gatewaySet_.nodes) {
+    MESH_REQUIRE(static_cast<std::size_t>(g) < nodes_.size());
+    const std::size_t idx = relay_->addGateway(
+        g, plan_.channelOf(g), config_.node.phy, config_.node.mac,
+        rng.fork("gwport", g),
+        [this, g](const net::PacketPtr& packet, net::NodeId from) {
+          nodes_.at(g)->injectFromGateway(packet, from);
+        });
+    nodes_.at(g)->setGatewayTap([this, idx](const net::PacketPtr& packet) {
+      relay_->captureOutbound(idx, packet);
+    });
+  }
+  // Port radios transmit on their channel like any node radio, so their
+  // counters join both registries — otherwise the per-channel frame
+  // counts disagree with the channel-tagged trace records.
+  const bool rateAware = config_.rateControl != rate::ControlKind::Fixed;
+  for (std::size_t d = 0; d < domains; ++d) {
+    relay_->registerPortCounters(d, registry_, rateAware);
+    relay_->registerPortCounters(d, *domainRegistries_[d], rateAware);
+  }
+}
+
+void Simulation::buildFaults(Rng& rng) {
+  faults_ = config_.faults;
   if (config_.churn) {
     std::vector<net::NodeId> eligible;
     if (!config_.churnVictims.empty()) {
@@ -416,342 +495,91 @@ void Simulation::build() {
     const fault::FaultSchedule generated = fault::FaultSchedule::generate(
         *config_.churn, config_.duration, eligible, rng.fork("faults"));
     for (const fault::FaultEvent& event : generated.events()) {
-      schedule.add(event);
+      faults_.add(event);
     }
   }
-  if (!schedule.empty()) {
-    injector_ = std::make_unique<fault::FaultInjector>(simulator_, *channel_,
-                                                       std::move(schedule));
-    injector_->setTrace(trace_.get());
-    injector_->setBlackholeHook([this](net::NodeId node, bool active) {
+  if (faults_.empty()) return;
+
+  // The merged schedule is scoped per domain so each injector only ever
+  // touches its own domain's simulator, channel and nodes (the invariant
+  // the parallel scheduler relies on). A gateway owns a radio in every
+  // domain, so radio-level faults (crash, blackout, loss ramp,
+  // interference) scope to each domain where the victim — and for link
+  // faults the peer too — has a radio: crashing a gateway takes down its
+  // home stack and every port. Node-level faults (probe blackhole, MAC
+  // queue drop) act on the node's single protocol stack and stay
+  // home-domain-only, which also keeps their hooks inside the home
+  // domain's worker thread. Exactly one scoped copy per configured fault
+  // keeps traced=true, so the merged trace and the recovery counts carry
+  // each fault once.
+  const std::size_t domains = plan_.channels;
+  std::vector<bool> isGateway(config_.nodeCount, false);
+  for (const net::NodeId g : gatewaySet_.nodes) isGateway.at(g) = true;
+  const auto hasRadioIn = [&](net::NodeId node, std::size_t d) {
+    return plan_.channelOf(node) == d || isGateway.at(node);
+  };
+  injectors_.resize(domains);
+  recovery_.resize(domains);
+  std::vector<bool> tracedCopyEmitted(faults_.size(), false);
+  for (std::size_t d = 0; d < domains; ++d) {
+    std::vector<fault::FaultEvent> scoped;
+    for (std::size_t e = 0; e < faults_.events().size(); ++e) {
+      const fault::FaultEvent& event = faults_.events()[e];
+      const bool nodeLevel =
+          event.kind == trace::FaultKind::ProbeBlackhole ||
+          event.kind == trace::FaultKind::MacQueueDrop;
+      if (nodeLevel) {
+        if (plan_.channelOf(event.node) != d) continue;
+      } else {
+        if (!hasRadioIn(event.node, d)) continue;
+        // A link fault needs both endpoints in this domain; a pair with
+        // no shared domain names a link that cannot exist, so that copy
+        // is dropped.
+        if (event.peer != net::kInvalidNode && !hasRadioIn(event.peer, d)) {
+          continue;
+        }
+      }
+      fault::FaultEvent copy = event;
+      copy.traced = !tracedCopyEmitted[e];
+      tracedCopyEmitted[e] = true;
+      scoped.push_back(copy);
+    }
+    if (scoped.empty()) continue;
+    injectors_[d] = std::make_unique<fault::FaultInjector>(
+        *sims_[d], *channels_[d],
+        fault::FaultSchedule::fromEvents(std::move(scoped)));
+    if (!traces_.empty()) injectors_[d]->setTrace(traces_[d].get());
+    // Node-level victims are always same-domain (see scoping above), so
+    // these hooks stay inside this domain's worker thread.
+    injectors_[d]->setBlackholeHook([this](net::NodeId node, bool active) {
       nodes_.at(node)->setProbeBlackhole(active);
     });
-    injector_->setQueueDropHook([this](net::NodeId node, bool active) {
+    injectors_[d]->setQueueDropHook([this](net::NodeId node, bool active) {
       nodes_.at(node)->setQueueDropFault(active);
     });
-    injector_->arm();
+    injectors_[d]->arm();
 
     // Mean fan-out per originated data packet: the factor that turns the
-    // analyzer's originated-counter deltas into expected deliveries.
+    // analyzer's originated-counter deltas into expected deliveries. A
+    // source only reaches members sharing its channel.
     double fanout = 0.0;
     std::size_t sources = 0;
     for (const GroupSpec& spec : config_.groups) {
       for (const net::NodeId source : spec.sources) {
+        if (plan_.channelOf(source) != d) continue;
         std::uint64_t f = 0;
         for (const net::NodeId member : spec.members) {
-          if (member != source) ++f;
+          if (member != source && plan_.channelOf(member) == d) ++f;
         }
         fanout += static_cast<double>(f);
         ++sources;
       }
     }
     if (sources > 0) fanout /= static_cast<double>(sources);
-    recovery_ = std::make_unique<fault::RecoveryAnalyzer>(
-        simulator_, registry_, injector_->schedule(), config_.duration,
-        fanout);
-    recovery_->arm();
-  }
-
-  // Snapshot-eligible worlds force the reachability build at construction
-  // (DESIGN §14). Builds draw no RNG and static positions make t=0 rows
-  // identical to the lazy first-transmission build, so results cannot
-  // change — and construction cost lands in setup_seconds whether the
-  // snapshot cache is on or off, keeping the amortization A/B honest.
-  // Adopting runs splice the frozen rows in instead of rebuilding.
-  if (snapshotEligible(config_)) {
-    if (adopted_ != nullptr) {
-      MESH_REQUIRE(adopted_->reach.size() == 1);
-      channel_->adoptReachability(adopted_->reach[0]);
-    } else {
-      channel_->rebuildReachabilityNow();
-    }
-  }
-}
-
-void Simulation::buildMultiChannel(Rng& rng) {
-  // Orthogonal collision domains need static geometry: the plan is decided
-  // once from positions, and a custom or mobile link model would move
-  // state across domains mid-run.
-  MESH_REQUIRE(!config_.linkModelFactory);
-  MESH_REQUIRE(config_.mobilityMaxSpeedMps == 0.0);
-  MESH_REQUIRE(config_.channels >= 1 && config_.channels <= 255);
-  multiChannel_ = true;
-  const std::size_t domains = config_.channels;
-
-  if (config_.protocol.metric) {
-    metric_ = metrics::makeMetric(*config_.protocol.metric,
-                                  config_.traffic.payloadBytes);
-  }
-
-  if (adopted_ != nullptr) {
-    MESH_REQUIRE(adopted_->positions.size() == config_.nodeCount);
-    MESH_REQUIRE(adopted_->plan.channels == domains);
-    positions_ = adopted_->positions;
-    plan_ = adopted_->plan;
-  } else {
-    {
-      // Same fork label and draw sequence as the legacy static path, so a
-      // one-domain plan reproduces its topology bit-for-bit.
-      Rng placeRng = rng.fork("placement");
-      positions_ = placePositions(placeRng);
-    }
-    // 250 m: the nominal reception range — the radius inside which two
-    // same-channel nodes contend.
-    plan_ = channelplan::makeChannelPlan(config_.channelAssign, domains,
-                                         positions_, 250.0);
-  }
-
-  if (config_.rateControl != rate::ControlKind::Fixed ||
-      config_.rateSet != rate::RateSetKind::Basic) {
-    rateTable_ = std::make_unique<rate::RateTable>(rate::RateTable::forSet(
-        config_.rateSet, config_.node.phy.bitRateBps));
-  }
-
-  for (std::size_t d = 0; d < domains; ++d) {
-    if (!config_.tracePath.empty()) {
-      auto collector = std::make_unique<trace::TraceCollector>(
-          config_.tracePath + ".spill." + std::to_string(d));
-      // Tag 0 on one-domain plans keeps record bytes legacy-identical.
-      if (domains > 1) {
-        collector->setChannelTag(static_cast<std::uint8_t>(d + 1));
-      }
-      domainTraces_.push_back(std::move(collector));
-    }
-    domainSims_.push_back(std::make_unique<sim::Simulator>());
-    installPool(*domainSims_[d]);
-    domainRegistries_.push_back(std::make_unique<trace::CounterRegistry>());
-    std::unique_ptr<phy::FadingModel> fading;
-    if (config_.rayleighFading) {
-      fading = std::make_unique<phy::RayleighFading>();
-    } else {
-      fading = std::make_unique<phy::NoFading>();
-    }
-    // Every domain's model indexes the full position vector by global node
-    // id; a Channel only consults radios attached to it, so carrier sense,
-    // NAV, busy power and reachability are per-domain state for free.
-    auto linkModel = std::make_unique<phy::GeometricLinkModel>(
-        config_.node.phy, positions_,
-        std::make_unique<phy::TwoRayGroundModel>(), std::move(fading));
-    // fork("channel", 0) == fork("channel"): domain 0 draws the legacy
-    // channel stream, the anchor of the one-domain identity.
-    channels_.push_back(std::make_unique<phy::Channel>(
-        *domainSims_[d], std::move(linkModel), rng.fork("channel", d)));
-    channels_[d]->setSpatialIndex(config_.spatialIndex);
-    if (!domainTraces_.empty()) channels_[d]->setTrace(domainTraces_[d].get());
-    if (rateTable_ != nullptr) channels_[d]->setRateTable(rateTable_.get());
-  }
-
-  MeshNodeConfig nodeConfig = config_.node;
-  nodeConfig.probeRateScale = config_.protocol.probeRateScale;
-  nodeConfig.treeRouting = config_.protocol.routing == Routing::Tree;
-  nodeConfig.adaptiveProbing.enabled = config_.protocol.adaptiveProbing;
-  nodeConfig.rateControl = config_.rateControl;
-  nodeConfig.rateTable = rateTable_.get();
-  nodes_.reserve(config_.nodeCount);
-  registry_.hintSlotsPerSeries(config_.nodeCount + 1);
-  for (auto& domainRegistry : domainRegistries_) {
-    domainRegistry->hintSlotsPerSeries(config_.nodeCount / plan_.channels + 2);
-  }
-  for (std::size_t i = 0; i < config_.nodeCount; ++i) {
-    const auto id = static_cast<net::NodeId>(i);
-    const std::size_t d = plan_.channelOf(id);
-    trace::TraceCollector* collector =
-        domainTraces_.empty() ? nullptr : domainTraces_[d].get();
-    nodes_.push_back(std::make_unique<MeshNode>(
-        *domainSims_[d], *channels_[d], id, nodeConfig, metric_.get(),
-        rng.fork("node", i), collector));
-    // Nodes register into their domain registry only — what per-channel
-    // results and the recovery analyzers read. The run-level taxonomy in
-    // registry_ absorbs every domain registry after the loop: same shared
-    // slots, one bulk map walk instead of a second per-node registration.
-    nodes_.back()->registerCounters(*domainRegistries_[d]);
-  }
-
-  for (const auto& domainRegistry : domainRegistries_) {
-    registry_.absorb(*domainRegistry);
-  }
-
-  for (const GroupSpec& spec : config_.groups) {
-    for (const net::NodeId member : spec.members) {
-      nodes_.at(member)->joinGroup(spec.group);
-    }
-    for (const net::NodeId source : spec.sources) {
-      app::CbrConfig cbr = config_.traffic;
-      cbr.group = spec.group;
-      nodes_.at(source)->addCbrSource(cbr);
-    }
-  }
-
-  for (auto& node : nodes_) node->start();
-
-  // Cross-domain gateways: the roster is deterministic (RNG-free given the
-  // plan and positions), then the relay wires one port Radio + MAC per
-  // foreign domain onto each gateway and the node's outbound broadcasts
-  // are tapped for staging. gateways == 0 builds none of this — the
-  // multi-channel path stays byte-identical to the gateway-less simulator.
-  if (domains > 1 && (config_.gateways > 0 || !config_.gatewayNodes.empty())) {
-    if (adopted_ != nullptr) {
-      gatewaySet_ = adopted_->gatewaySet;
-    } else {
-      gateway::GatewaySelect select = config_.gatewaySelect;
-      if (!config_.gatewayNodes.empty()) {
-        select = gateway::GatewaySelect::Explicit;
-      }
-      // 250 m: the same nominal reception range the channel plan scores
-      // boundary candidates against.
-      gatewaySet_ = gateway::makeGatewaySet(select, config_.gateways,
-                                            config_.gatewayNodes, plan_,
-                                            positions_, 250.0);
-    }
-    std::vector<gateway::GatewayRelay::DomainContext> contexts;
-    contexts.reserve(domains);
-    for (std::size_t d = 0; d < domains; ++d) {
-      contexts.push_back(gateway::GatewayRelay::DomainContext{
-          domainSims_[d].get(), channels_[d].get(), pools_[d].get(),
-          domainTraces_.empty() ? nullptr : domainTraces_[d].get()});
-    }
-    relay_ = std::make_unique<gateway::GatewayRelay>(std::move(contexts));
-    for (const net::NodeId g : gatewaySet_.nodes) {
-      MESH_REQUIRE(static_cast<std::size_t>(g) < nodes_.size());
-      const std::size_t idx = relay_->addGateway(
-          g, plan_.channelOf(g), config_.node.phy, config_.node.mac,
-          rng.fork("gwport", g),
-          [this, g](const net::PacketPtr& packet, net::NodeId from) {
-            nodes_.at(g)->injectFromGateway(packet, from);
-          });
-      nodes_.at(g)->setGatewayTap([this, idx](const net::PacketPtr& packet) {
-        relay_->captureOutbound(idx, packet);
-      });
-    }
-    // Port radios transmit on their channel like any node radio, so their
-    // counters join both registries — otherwise the per-channel frame
-    // counts disagree with the channel-tagged trace records.
-    const bool rateAware = config_.rateControl != rate::ControlKind::Fixed;
-    for (std::size_t d = 0; d < domains; ++d) {
-      relay_->registerPortCounters(d, registry_, rateAware);
-      relay_->registerPortCounters(d, *domainRegistries_[d], rateAware);
-    }
-  }
-
-  // Faults: churn is generated globally with the legacy fork/draws, then
-  // the merged schedule is scoped per domain so each injector only ever
-  // touches its own domain's simulator, channel and nodes (the invariant
-  // the parallel scheduler relies on).
-  fault::FaultSchedule schedule = config_.faults;
-  if (config_.churn) {
-    std::vector<net::NodeId> eligible;
-    if (!config_.churnVictims.empty()) {
-      eligible = config_.churnVictims;
-    } else {
-      std::vector<bool> excluded(config_.nodeCount, false);
-      for (const GroupSpec& spec : config_.groups) {
-        for (const net::NodeId s : spec.sources) excluded.at(s) = true;
-        for (const net::NodeId m : spec.members) excluded.at(m) = true;
-      }
-      for (std::size_t i = 0; i < config_.nodeCount; ++i) {
-        if (!excluded[i]) eligible.push_back(static_cast<net::NodeId>(i));
-      }
-    }
-    const fault::FaultSchedule generated = fault::FaultSchedule::generate(
-        *config_.churn, config_.duration, eligible, rng.fork("faults"));
-    for (const fault::FaultEvent& event : generated.events()) {
-      schedule.add(event);
-    }
-  }
-  if (!schedule.empty()) {
-    // A gateway owns a radio in every domain, so radio-level faults
-    // (crash, blackout, loss ramp, interference) scope to each domain
-    // where the victim — and for link faults the peer too — has a radio:
-    // crashing a gateway takes down its home stack and every port.
-    // Node-level faults (probe blackhole, MAC queue drop) act on the
-    // node's single protocol stack and stay home-domain-only, which also
-    // keeps their hooks inside the home domain's worker thread. Exactly
-    // one scoped copy per configured fault keeps traced=true, so the
-    // merged trace carries each fault timeline once.
-    std::vector<bool> isGateway(config_.nodeCount, false);
-    for (const net::NodeId g : gatewaySet_.nodes) isGateway.at(g) = true;
-    const auto hasRadioIn = [&](net::NodeId node, std::size_t d) {
-      return plan_.channelOf(node) == d || isGateway.at(node);
-    };
-    domainInjectors_.resize(domains);
-    domainRecovery_.resize(domains);
-    std::vector<bool> tracedCopyEmitted(schedule.size(), false);
-    for (std::size_t d = 0; d < domains; ++d) {
-      std::vector<fault::FaultEvent> scoped;
-      for (std::size_t e = 0; e < schedule.events().size(); ++e) {
-        const fault::FaultEvent& event = schedule.events()[e];
-        const bool nodeLevel =
-            event.kind == trace::FaultKind::ProbeBlackhole ||
-            event.kind == trace::FaultKind::MacQueueDrop;
-        if (nodeLevel) {
-          if (plan_.channelOf(event.node) != d) continue;
-        } else {
-          if (!hasRadioIn(event.node, d)) continue;
-          // A link fault needs both endpoints in this domain; a pair with
-          // no shared domain names a link that cannot exist, so that copy
-          // is dropped.
-          if (event.peer != net::kInvalidNode &&
-              !hasRadioIn(event.peer, d)) {
-            continue;
-          }
-        }
-        fault::FaultEvent copy = event;
-        copy.traced = !tracedCopyEmitted[e];
-        tracedCopyEmitted[e] = true;
-        scoped.push_back(copy);
-      }
-      if (scoped.empty()) continue;
-      domainInjectors_[d] = std::make_unique<fault::FaultInjector>(
-          *domainSims_[d], *channels_[d],
-          fault::FaultSchedule::fromEvents(std::move(scoped)));
-      if (!domainTraces_.empty()) {
-        domainInjectors_[d]->setTrace(domainTraces_[d].get());
-      }
-      // Node-level victims are always same-domain (see scoping above), so
-      // these hooks stay inside this domain's worker thread.
-      domainInjectors_[d]->setBlackholeHook([this](net::NodeId node,
-                                                   bool active) {
-        nodes_.at(node)->setProbeBlackhole(active);
-      });
-      domainInjectors_[d]->setQueueDropHook([this](net::NodeId node,
-                                                   bool active) {
-        nodes_.at(node)->setQueueDropFault(active);
-      });
-      domainInjectors_[d]->arm();
-
-      // Per-domain fan-out: a source only reaches members sharing its
-      // channel. One domain: identical to the legacy factor.
-      double fanout = 0.0;
-      std::size_t sources = 0;
-      for (const GroupSpec& spec : config_.groups) {
-        for (const net::NodeId source : spec.sources) {
-          if (plan_.channelOf(source) != d) continue;
-          std::uint64_t f = 0;
-          for (const net::NodeId member : spec.members) {
-            if (member != source && plan_.channelOf(member) == d) ++f;
-          }
-          fanout += static_cast<double>(f);
-          ++sources;
-        }
-      }
-      if (sources > 0) fanout /= static_cast<double>(sources);
-      domainRecovery_[d] = std::make_unique<fault::RecoveryAnalyzer>(
-          *domainSims_[d], *domainRegistries_[d],
-          domainInjectors_[d]->schedule(), config_.duration, fanout);
-      domainRecovery_[d]->arm();
-    }
-  }
-
-  // Forced reachability builds at construction (see build() — the
-  // multi-channel path is always snapshot-eligible: it REQUIREs static
-  // geometry above). Runs after gateway wiring so the rows cover the
-  // relay's port radios, which attach after each domain's own nodes.
-  for (std::size_t d = 0; d < domains; ++d) {
-    if (adopted_ != nullptr) {
-      channels_[d]->adoptReachability(adopted_->reach.at(d));
-    } else {
-      channels_[d]->rebuildReachabilityNow();
-    }
+    recovery_[d] = std::make_unique<fault::RecoveryAnalyzer>(
+        *sims_[d], *domainRegistries_[d], injectors_[d]->schedule(),
+        config_.duration, fanout);
+    recovery_[d]->arm();
   }
 }
 
@@ -769,12 +597,14 @@ void applyRecovery(RunResults& results, const fault::RecoveryReport& report) {
   results.repairsUnresolved = report.repairsUnresolved;
 }
 
-// Folds per-domain recovery reports into one run-level report. Counts sum;
-// ratio metrics are weighted means over the windows they were measured in
-// (fault-window seconds for in-window PDR and overhead inflation, the
-// remaining horizon for out-of-window PDR, resolved repairs for the mean
-// time-to-repair). A single report passes through unchanged, so the one-
-// domain path matches the legacy analyzer exactly.
+// Folds per-domain recovery reports into one run-level report. Counts sum
+// (each domain counts only its traced fault copies, so a fault scoped to
+// several domains counts once); ratio metrics are weighted means over the
+// windows they were measured in (each domain's fault-window seconds for
+// in-window PDR and overhead inflation, the remaining horizon for
+// out-of-window PDR, resolved repairs for the mean time-to-repair). A
+// single report passes through unchanged. The caller sets the run-level
+// fault window.
 fault::RecoveryReport mergeRecoveryReports(
     const std::vector<fault::RecoveryReport>& reports, SimTime horizon) {
   if (reports.size() == 1) return reports.front();
@@ -784,7 +614,6 @@ fault::RecoveryReport mergeRecoveryReports(
   for (const fault::RecoveryReport& r : reports) {
     merged.faultsApplied += r.faultsApplied;
     merged.faultsCleared += r.faultsCleared;
-    merged.faultWindowS += r.faultWindowS;
     merged.repairsObserved += r.repairsObserved;
     merged.repairsUnresolved += r.repairsUnresolved;
     merged.inWindowPdr += r.inWindowPdr * r.faultWindowS;
@@ -821,15 +650,11 @@ TopologySnapshotPtr Simulation::captureSnapshot() {
   MESH_REQUIRE(adopted_ == nullptr);
   auto snapshot = std::make_shared<TopologySnapshot>();
   snapshot->positions = positions_;
-  if (multiChannel_) {
-    snapshot->plan = plan_;
-    snapshot->gatewaySet = gatewaySet_;
-    snapshot->reach.reserve(channels_.size());
-    for (auto& channel : channels_) {
-      snapshot->reach.push_back(channel->freezeAndShare());
-    }
-  } else {
-    snapshot->reach.push_back(channel_->freezeAndShare());
+  snapshot->plan = plan_;
+  snapshot->gatewaySet = gatewaySet_;
+  snapshot->reach.reserve(channels_.size());
+  for (auto& channel : channels_) {
+    snapshot->reach.push_back(channel->freezeAndShare());
   }
   return snapshot;
 }
@@ -847,34 +672,12 @@ std::string Simulation::traceMetaLine() const {
 }
 
 RunResults Simulation::run() {
-  if (multiChannel_) return runMultiChannel();
-
-  // A short drain window lets in-flight frames land before accounting.
-  simulator_.run(config_.duration + SimTime::seconds(std::int64_t{1}));
-
-  RunResults results;
-  results.eventsExecuted = simulator_.eventsExecuted();
-  aggregateTraffic(results);
-
-  if (recovery_ != nullptr) applyRecovery(results, recovery_->report());
-
-  if (trace_ != nullptr) {
-    if (!trace_->exportJsonl(config_.tracePath, traceMetaLine(),
-                             registry_.snapshot())) {
-      throw std::runtime_error("trace export failed: cannot write " +
-                               config_.tracePath);
-    }
-  }
-  return results;
-}
-
-RunResults Simulation::runMultiChannel() {
   std::vector<sim::Simulator*> domains;
-  domains.reserve(domainSims_.size());
-  for (const auto& domain : domainSims_) domains.push_back(domain.get());
+  domains.reserve(sims_.size());
+  for (const auto& domain : sims_) domains.push_back(domain.get());
   channelplan::DomainScheduler scheduler{std::move(domains),
                                          config_.domainWorkers};
-  // Same drain window as the single-channel path.
+  // A short drain window lets in-flight frames land before accounting.
   const SimTime horizon = config_.duration + SimTime::seconds(std::int64_t{1});
   if (relay_ != nullptr) {
     // Switch slots: one epoch barrier every switchSlot, plus a final one
@@ -894,7 +697,7 @@ RunResults Simulation::runMultiChannel() {
   scheduler.run(horizon);
 
   RunResults results;
-  for (const auto& domain : domainSims_) {
+  for (const auto& domain : sims_) {
     results.eventsExecuted += domain->eventsExecuted();
   }
   aggregateTraffic(results);
@@ -915,17 +718,22 @@ RunResults Simulation::runMultiChannel() {
   }
 
   std::vector<fault::RecoveryReport> reports;
-  for (const auto& recovery : domainRecovery_) {
+  for (const auto& recovery : recovery_) {
     if (recovery != nullptr) reports.push_back(recovery->report());
   }
   if (!reports.empty()) {
-    applyRecovery(results, mergeRecoveryReports(reports, config_.duration));
+    fault::RecoveryReport report =
+        mergeRecoveryReports(reports, config_.duration);
+    // The union window of the configured schedule, however many domains
+    // each fault was scoped to.
+    report.faultWindowS = faults_.faultWindow(config_.duration).toSeconds();
+    applyRecovery(results, report);
   }
 
-  if (!domainTraces_.empty()) {
+  if (!traces_.empty()) {
     std::vector<trace::TraceCollector*> parts;
-    parts.reserve(domainTraces_.size());
-    for (const auto& collector : domainTraces_) parts.push_back(collector.get());
+    parts.reserve(traces_.size());
+    for (const auto& collector : traces_) parts.push_back(collector.get());
     if (!trace::TraceCollector::exportMergedJsonl(
             config_.tracePath, traceMetaLine(), registry_.snapshot(), parts)) {
       throw std::runtime_error("trace export failed: cannot write " +

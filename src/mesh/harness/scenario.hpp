@@ -106,54 +106,38 @@ struct ScenarioConfig {
   // bench_mobility extension explores.
   double mobilityMaxSpeedMps{0.0};
 
-  // Use the channel's uniform-grid reachability path (DESIGN §8.5). Results
-  // are bit-identical either way; off restores the O(n²) pair scan for
-  // A/B timing and regression bisection. The MESH_SPATIAL_INDEX environment
-  // variable overrides this knob.
-  bool spatialIndex{true};
-
   std::vector<GroupSpec> groups;
   app::CbrConfig traffic;  // group id is overridden per GroupSpec
 
   // Rate adaptation: which controller runs on every node and which 802.11
   // rate set the shared RateTable holds. The defaults (Fixed + Basic) keep
   // the simulator on the legacy single-rate path, bit-identical to the
-  // pre-rate code. The MESH_RATE_CONTROL environment variable
-  // ("fixed"/"minstrel"/"genie") overrides `rateControl` at build time.
+  // pre-rate code.
   rate::ControlKind rateControl{rate::ControlKind::Fixed};
   rate::RateSetKind rateSet{rate::RateSetKind::Basic};
 
-  // Multi-channel mesh (src/mesh/channelplan): > 1 partitions the PHY into
+  // Multi-channel mesh (src/mesh/channelplan): the PHY is partitioned into
   // `channels` orthogonal collision domains — one phy::Channel and one
-  // event queue per domain, frames only interact within a domain. Requires
+  // event queue per domain, frames only interact within a domain. 1 (the
+  // default) is the paper's single shared channel. More than one requires
   // a static geometric scenario (no mobility, no custom link model), and
-  // note that multicast traffic only flows inside a domain unless gateways
-  // carry it across: pick groups channel-locally (makeStripedGroups), or
-  // configure `gateways` below and let spanning groups ride the handoff
-  // path. 1 (the default) is the legacy single-channel simulator,
-  // byte-identical to pre-channelplan builds. The MESH_CHANNELS
-  // environment variable overrides this knob at build time.
+  // multicast traffic only flows inside a domain unless gateways carry it
+  // across: pick groups channel-locally (makeStripedGroups), or configure
+  // `gateways` below and let spanning groups ride the handoff path.
   std::size_t channels{1};
   channelplan::AssignStrategy channelAssign{channelplan::AssignStrategy::Static};
   // Worker threads driving the collision domains in parallel (clamped to
   // [1, channels]). Purely a wall-clock knob: traces, counters and every
   // aggregate are byte-identical for any worker count — the determinism
-  // tests pin this. The MESH_DOMAIN_WORKERS environment variable
-  // overrides it.
+  // tests pin this.
   std::size_t domainWorkers{1};
-  // Test-only: run the multi-domain build/run machinery even when
-  // channels == 1 (one domain). Exists so the byte-identity of the
-  // channelplan path against the legacy path is directly testable; no
-  // config key maps to it.
-  bool forceChannelPlan{false};
 
   // Cross-domain gateways (src/mesh/gateway): `gateways` nodes get one
   // extra radio per foreign collision domain and relay frames between
   // domains at epoch barriers every `switchSlot`. 0 (the default) builds no
   // relay at all — the channels>1 path stays byte-identical to the
   // gateway-less simulator. `gatewaySelect` picks which nodes serve
-  // (ignored when `gatewayNodes` names them explicitly). The MESH_GATEWAYS
-  // environment variable overrides the count at build time.
+  // (ignored when `gatewayNodes` names them explicitly).
   std::size_t gateways{0};
   gateway::GatewaySelect gatewaySelect{gateway::GatewaySelect::EveryK};
   std::vector<net::NodeId> gatewayNodes;  // explicit roster (forces Explicit)
@@ -303,36 +287,19 @@ class Simulation {
   // returns the aggregated results.
   RunResults run();
 
-  // On multi-channel builds these return collision domain 0's objects;
-  // use domainChannel()/domainCounters() to reach the others.
-  sim::Simulator& simulator() {
-    return multiChannel_ ? *domainSims_[0] : simulator_;
-  }
-  phy::Channel& channel() {
-    return multiChannel_ ? *channels_[0] : *channel_;
-  }
-  // Per-run counter taxonomy, summed across nodes (always populated; on
-  // multi-channel builds every node registers here *and* in its domain
-  // registry, so the totals span all domains).
+  // Collision domain 0's simulator and channel — the only ones on a
+  // single-channel run; domainChannel() reaches the others.
+  sim::Simulator& simulator() { return *sims_[0]; }
+  phy::Channel& channel() { return *channels_[0]; }
+  // Per-run counter taxonomy, summed across nodes and domains: every
+  // domain registry is absorbed here, sharing the same live slots.
   const trace::CounterRegistry& counters() const { return registry_; }
-  // Non-null only when config.tracePath was set. Multi-channel builds
-  // keep one collector per domain; this returns domain 0's.
-  const trace::TraceCollector* trace() const {
-    if (!multiChannel_) return trace_.get();
-    return domainTraces_.empty() ? nullptr : domainTraces_[0].get();
-  }
 
-  // Multi-channel introspection. channelCount() is 1 on legacy builds;
-  // plan() is null unless the channelplan path built this simulation.
-  std::size_t channelCount() const { return multiChannel_ ? plan_.channels : 1; }
-  const channelplan::ChannelPlan* plan() const {
-    return multiChannel_ ? &plan_ : nullptr;
-  }
+  // The channel plan is always built; one domain lists every node.
+  std::size_t channelCount() const { return plan_.channels; }
+  const channelplan::ChannelPlan* plan() const { return &plan_; }
   phy::Channel& domainChannel(std::size_t channel) {
-    return multiChannel_ ? *channels_.at(channel) : *channel_;
-  }
-  const trace::CounterRegistry* domainCounters(std::size_t channel) const {
-    return multiChannel_ ? domainRegistries_.at(channel).get() : &registry_;
+    return *channels_.at(channel);
   }
   MeshNode& node(net::NodeId id) { return *nodes_.at(id); }
   std::size_t nodeCount() const { return nodes_.size(); }
@@ -340,9 +307,11 @@ class Simulation {
   // relay carrying frames between domains (null likewise).
   const gateway::GatewaySet& gatewaySet() const { return gatewaySet_; }
   const gateway::GatewayRelay* gatewayRelay() const { return relay_.get(); }
-  // Non-null only when the scenario carries faults (explicit or churn).
-  fault::FaultInjector* faultInjector() { return injector_.get(); }
-  const fault::RecoveryAnalyzer* recovery() const { return recovery_.get(); }
+  // The injector scoped to `domain`; null when the scenario carries no
+  // faults (explicit or churn) or none of them touches that domain.
+  fault::FaultInjector* faultInjector(std::size_t domain = 0) {
+    return domain < injectors_.size() ? injectors_[domain].get() : nullptr;
+  }
   const std::vector<Vec2>& positions() const { return positions_; }
   const ScenarioConfig& config() const { return config_; }
 
@@ -352,11 +321,11 @@ class Simulation {
 
  private:
   void build();
-  void buildMultiChannel(Rng& rng);
-  RunResults runMultiChannel();
-  // Shared post-run accounting: headline aggregates from nodes_ and
-  // registry_ (identical arithmetic on both the legacy and the
-  // multi-channel path — the cross-path byte-identity tests rely on it).
+  // Builds the factory's or the mobility model for domain 0 and takes the
+  // node positions from it; null for static geometric placement.
+  std::unique_ptr<phy::LinkModel> makeDynamicLinkModel(Rng& rng);
+  void buildGateways(Rng& rng);
+  void buildFaults(Rng& rng);
   void aggregateTraffic(RunResults& results);
   std::string traceMetaLine() const;
   std::vector<Vec2> placeNodes(Rng& rng) const;
@@ -371,30 +340,25 @@ class Simulation {
   void installPool(sim::Simulator& sim);
 
   ScenarioConfig config_;
-  // One slab pool per simulator (legacy: one; multi-channel: one per
-  // domain). Pool impls are refcounted by their live packets, so member
-  // order relative to packet holders below is immaterial.
+  // One slab pool per domain simulator. Pool impls are refcounted by their
+  // live packets, so member order relative to packet holders below is
+  // immaterial.
   std::vector<std::unique_ptr<net::PacketPool>> pools_;
-  sim::Simulator simulator_;
   trace::CounterRegistry registry_;
-  std::unique_ptr<trace::TraceCollector> trace_;  // null unless tracePath set
   std::unique_ptr<metrics::Metric> metric_;  // null for original ODMRP
-  std::unique_ptr<rate::RateTable> rateTable_;  // null on the legacy path
-  std::unique_ptr<phy::Channel> channel_;
+  std::unique_ptr<rate::RateTable> rateTable_;  // null on fixed single-rate
 
-  // Multi-channel state (channels > 1 or forceChannelPlan): one simulator,
-  // channel, trace collector and counter registry per collision domain;
-  // faults are scoped per domain too. The legacy members above stay unset
-  // (except registry_/metric_/rateTable_/nodes_/positions_, shared).
-  // Declared BEFORE nodes_/injectors so anything holding a Simulator& or
-  // Channel& (node timers cancel against their domain simulator on
-  // destruction) is torn down first.
-  bool multiChannel_{false};
+  // One simulator, channel, trace collector (when tracing) and counter
+  // registry per collision domain. Declared BEFORE nodes_/injectors_ so
+  // anything holding a Simulator& or Channel& (node timers cancel against
+  // their domain simulator on destruction) is torn down first. A single
+  // domain's registry is registry_ itself; several own theirs.
   channelplan::ChannelPlan plan_;
-  std::vector<std::unique_ptr<sim::Simulator>> domainSims_;
+  std::vector<std::unique_ptr<sim::Simulator>> sims_;
   std::vector<std::unique_ptr<phy::Channel>> channels_;
-  std::vector<std::unique_ptr<trace::TraceCollector>> domainTraces_;
-  std::vector<std::unique_ptr<trace::CounterRegistry>> domainRegistries_;
+  std::vector<std::unique_ptr<trace::TraceCollector>> traces_;
+  std::vector<std::unique_ptr<trace::CounterRegistry>> ownedRegistries_;
+  std::vector<trace::CounterRegistry*> domainRegistries_;
 
   // Gateway relay: its ports hold Radio/Mac instances referencing the
   // domain simulators and channels above, so like nodes_ it must be
@@ -403,10 +367,11 @@ class Simulation {
   std::unique_ptr<gateway::GatewayRelay> relay_;
 
   std::vector<std::unique_ptr<MeshNode>> nodes_;
-  std::unique_ptr<fault::FaultInjector> injector_;
-  std::unique_ptr<fault::RecoveryAnalyzer> recovery_;
-  std::vector<std::unique_ptr<fault::FaultInjector>> domainInjectors_;
-  std::vector<std::unique_ptr<fault::RecoveryAnalyzer>> domainRecovery_;
+  // The merged fault timeline (explicit + churn) as configured, before
+  // per-domain scoping; its union window is the run's fault window.
+  fault::FaultSchedule faults_;
+  std::vector<std::unique_ptr<fault::FaultInjector>> injectors_;
+  std::vector<std::unique_ptr<fault::RecoveryAnalyzer>> recovery_;
   std::vector<Vec2> positions_;
   // Non-null when constructed by adoption; keeps the shared world alive
   // for the channels' row views (they also hold their own ReachSnapshot

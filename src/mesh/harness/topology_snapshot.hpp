@@ -34,11 +34,11 @@ namespace mesh::harness {
 
 struct TopologySnapshot {
   std::vector<Vec2> positions;     // node id -> placement
-  channelplan::ChannelPlan plan;   // meaningful on multi-channel builds
+  channelplan::ChannelPlan plan;   // node id -> collision domain
   gateway::GatewaySet gatewaySet;  // empty unless gateways configured
   // One frozen reachability state per collision domain, in channel order
-  // (size 1 on the legacy single-channel path). Rows include gateway port
-  // radios, which attach after the domain's own nodes.
+  // (size 1 on a single-channel run). Rows include gateway port radios,
+  // which attach after the domain's own nodes.
   std::vector<std::shared_ptr<const phy::Channel::ReachSnapshot>> reach;
 
   // Resident size estimate for the snapshot cache's memory budget.

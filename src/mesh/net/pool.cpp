@@ -1,8 +1,5 @@
 #include "mesh/net/pool.hpp"
 
-#include <cstdlib>
-#include <string_view>
-
 namespace mesh::net {
 
 void PacketPool::refill(Impl& im, std::uint32_t cls) {
@@ -26,16 +23,6 @@ void PacketPool::refill(Impl& im, std::uint32_t cls) {
 PacketPool& PacketPool::fallbackPool() {
   thread_local PacketPool pool;
   return pool;
-}
-
-bool& PacketPool::enabledFlag() {
-  static bool enabled = [] {
-    const char* env = std::getenv("MESH_PACKET_POOL");
-    if (env == nullptr) return true;
-    const std::string_view v{env};
-    return !(v == "off" || v == "0" || v == "false" || v == "OFF");
-  }();
-  return enabled;
 }
 
 }  // namespace mesh::net

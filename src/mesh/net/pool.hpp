@@ -19,11 +19,6 @@
 // pool (i.e. per collision domain), replacing the old global std::atomic.
 // Trace pids are renumbered per collector at record time, so per-domain uid
 // sequences that all start at 1 are fine (see trace/trace_collector.cpp).
-//
-// Escape hatch: MESH_PACKET_POOL=off (or setPoolingEnabled(false)) routes
-// slots through plain operator new/delete while keeping the uid sequence and
-// refcount behavior identical — traces must stay byte-identical either way,
-// which hotpath_test pins as a regression test.
 
 #include <cstddef>
 #include <cstdint>
@@ -128,12 +123,12 @@ class PacketPool {
   void* allocate(std::size_t bytes) {
     Impl& im = *impl_;
     const std::uint32_t cls = classFor(bytes);
-    if (cls == kDirectClass || !poolingEnabled()) {
+    if (cls == kDirectClass) {
       auto* h = static_cast<SlotHeader*>(
           ::operator new(sizeof(SlotHeader) + bytes));
       h->impl = nullptr;
       h->cls = kDirectClass;
-      if (cls == kDirectClass) ++im.oversized;
+      ++im.oversized;
       return h + 1;
     }
     void*& head = im.freeHead[cls];
@@ -182,11 +177,6 @@ class PacketPool {
     return prev;
   }
 
-  // Global pooling knob (see file comment). Read per allocation; only write
-  // it while no simulation is running — domain workers read it unfenced.
-  static bool poolingEnabled() { return enabledFlag(); }
-  static void setPoolingEnabled(bool enabled) { enabledFlag() = enabled; }
-
  private:
   struct Impl;
   // Precedes every object area; 16 bytes so the area stays 16-aligned.
@@ -228,7 +218,6 @@ class PacketPool {
     return current;
   }
   static PacketPool& fallbackPool();
-  static bool& enabledFlag();
 
   Impl* impl_;
 };

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <string_view>
 
-#include "mesh/common/log.hpp"
 #include "mesh/phy/fading.hpp"
 #include "mesh/trace/trace_collector.hpp"
 
@@ -19,16 +16,6 @@ constexpr double kSpeedOfLight = 299'792'458.0;  // m/s
 // ≈ 28 cells whose union hugs the disk, instead of a 3×3 box with ~2.9× the
 // disk's area. Finer cells prune better but cost more bucket iteration.
 constexpr double kCellsPerReachRadius = 2.0;
-
-std::optional<bool> parseSpatialIndexEnv() {
-  const char* raw = std::getenv("MESH_SPATIAL_INDEX");
-  if (raw == nullptr) return std::nullopt;
-  const std::string_view v{raw};
-  if (v == "off" || v == "0" || v == "false") return false;
-  if (v == "on" || v == "1" || v == "true") return true;
-  MESH_WARN("phy", "ignoring unrecognized MESH_SPATIAL_INDEX value '%s'", raw);
-  return std::nullopt;
-}
 }  // namespace
 
 Channel::Channel(sim::Simulator& simulator, std::unique_ptr<LinkModel> linkModel,
@@ -37,8 +24,7 @@ Channel::Channel(sim::Simulator& simulator, std::unique_ptr<LinkModel> linkModel
       linkModel_{std::move(linkModel)},
       rng_{rng},
       fadingHeadroom_{fadingHeadroom},
-      cacheMeans_{linkModel_ != nullptr && linkModel_->meansCacheable()},
-      spatialEnvOverride_{parseSpatialIndexEnv()} {
+      cacheMeans_{linkModel_ != nullptr && linkModel_->meansCacheable()} {
   MESH_REQUIRE(linkModel_ != nullptr);
   MESH_REQUIRE(fadingHeadroom_ >= 1.0);
   scaledFading_ = linkModel_->meanScaledFading();
@@ -128,9 +114,7 @@ void Channel::prepareSpatialIndex() {
   // adopted snapshot's frozen pair stops being authoritative here.
   activeGrid_ = &grid_;
   activePositions_ = &gridPositions_;
-  const bool wanted =
-      spatialEnvOverride_.has_value() ? *spatialEnvOverride_ : spatialKnob_;
-  if (!wanted || !linkModel_->spatiallyIndexable()) return;
+  if (!linkModel_->spatiallyIndexable()) return;
 
   // The pruning power floor must be valid for every transmitter: use the
   // smallest carrier-sense threshold across radios (they are uniform in

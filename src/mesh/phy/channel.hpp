@@ -31,8 +31,8 @@
 // mean-power predicate in ascending radio-index order — so the rows (and
 // every downstream RNG draw) stay bit-identical to the full scan while
 // build cost drops to O(n·k). Single-radio invalidations (fail/recover)
-// rebuild only the affected rows. MESH_SPATIAL_INDEX=off restores the
-// full-scan path.
+// rebuild only the affected rows. Models without geometry (the testbed's
+// floor graph) take the full O(n²) pair scan instead.
 //
 // Because a build draws no RNG and (for static geometry) is a pure
 // function of positions and radio parameters, the built state can be
@@ -45,7 +45,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -192,15 +191,9 @@ class Channel {
   // True while any rows are still read from an adopted/frozen snapshot.
   bool sharesSnapshot() const { return shared_ != nullptr; }
 
-  // Enable/disable the spatial-index fast path for reachability builds and
-  // incremental invalidation. Takes effect at the next (re)build. The
-  // MESH_SPATIAL_INDEX environment variable ("on"/"off", "1"/"0") wins
-  // over this knob — an escape hatch for bisecting perf regressions.
-  void setSpatialIndex(bool enabled) { spatialKnob_ = enabled; }
-
   // True when the last reachability build actually used the grid (model
-  // indexable, knob/env on, finite reach radius). Meaningful after the
-  // first build only.
+  // indexable, finite reach radius). Meaningful after the first build
+  // only.
   bool spatialIndexActive() const { return spatialActive_; }
 
   // O(1) hash lookup by node id — fault-application time only, never per
@@ -272,8 +265,6 @@ class Channel {
   std::shared_ptr<const ReachSnapshot> shared_;
 
   // --- spatial index state (see DESIGN §8.5) ------------------------------
-  bool spatialKnob_{true};
-  std::optional<bool> spatialEnvOverride_;  // MESH_SPATIAL_INDEX, parsed once
   bool spatialActive_{false};               // last build used the grid
   double reachRadiusM_{0.0};                // conservative pruning radius
   SpatialGrid grid_;

@@ -39,10 +39,8 @@ std::string SnapshotCache::keyFor(const harness::ScenarioConfig& config) {
   appendUint(key, "fading", config.rayleighFading ? 1 : 0);
   appendUint(key, "conn", config.ensureConnected ? 1 : 0);
   appendUint(key, "place", static_cast<std::uint64_t>(config.placement));
-  appendUint(key, "sgrid", config.spatialIndex ? 1 : 0);
   appendUint(key, "ch", config.channels);
   appendUint(key, "assign", static_cast<std::uint64_t>(config.channelAssign));
-  appendUint(key, "forceplan", config.forceChannelPlan ? 1 : 0);
   appendUint(key, "gw", config.gateways);
   appendUint(key, "gwsel", static_cast<std::uint64_t>(config.gatewaySelect));
   key += "gwnodes=";

@@ -17,10 +17,10 @@
 // builds draw no RNG, Rng::fork is const (skipping placement draws
 // perturbs no other stream), and the Channel's copy-on-write row views
 // keep one run's faults invisible to siblings. MESH_TOPOLOGY_CACHE=off is
-// the escape hatch (same pattern as MESH_SPATIAL_INDEX/MESH_PACKET_POOL);
-// MESH_TOPOLOGY_CACHE_MB bounds resident snapshot bytes — least recently
-// used Ready entries are evicted once the budget is exceeded (adopters
-// holding the shared_ptr keep evicted worlds alive until they finish).
+// the escape hatch; MESH_TOPOLOGY_CACHE_MB bounds resident snapshot bytes
+// — least recently used Ready entries are evicted once the budget is
+// exceeded (adopters holding the shared_ptr keep evicted worlds alive
+// until they finish).
 
 #include <cstddef>
 #include <cstdint>
@@ -58,9 +58,7 @@ class SnapshotCache {
   // snapshot's contents are a function of, seed included. Equal keys imply
   // identical worlds; differing protocol/traffic/duration/faults/rate
   // fields deliberately do not enter the key, which is the whole point of
-  // sharing. Note the MESH_CHANNELS/MESH_GATEWAYS env overrides apply
-  // inside Simulation::build(), after keying — they are process-global, so
-  // every run of a key still builds the same effective world.
+  // sharing.
   static std::string keyFor(const harness::ScenarioConfig& config);
 
   // ~512 MiB unless MESH_TOPOLOGY_CACHE_MB overrides it.

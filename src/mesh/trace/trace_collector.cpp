@@ -312,66 +312,11 @@ std::string toJsonLine(const TraceRecord& record) {
   return std::string(buf, n > 0 ? static_cast<std::size_t>(n) : 0);
 }
 
-bool TraceCollector::exportJsonl(
-    const std::string& path, const std::string& metaJson,
-    const std::vector<std::pair<std::string, std::uint64_t>>& counters) {
-  if (!ensureParentDir(path)) return false;
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) return false;
-  bool ok = std::fputs(metaJson.c_str(), out) >= 0 && std::fputc('\n', out) != EOF;
-
-  // Spilled records first (they precede everything in the buffer).
-  if (ok && spill_ != nullptr && spilled_ > 0) {
-    std::fflush(spill_);
-    ok = std::fseek(spill_, 0, SEEK_SET) == 0;
-    TraceRecord chunk[1024];
-    std::uint64_t remaining = spilled_;
-    while (ok && remaining > 0) {
-      const std::size_t want = remaining < 1024 ? static_cast<std::size_t>(remaining) : 1024;
-      const std::size_t got = std::fread(chunk, sizeof(TraceRecord), want, spill_);
-      if (got != want) {
-        ok = false;
-        break;
-      }
-      for (std::size_t i = 0; i < got && ok; ++i) {
-        const std::string line = toJsonLine(chunk[i]);
-        ok = std::fputs(line.c_str(), out) >= 0 && std::fputc('\n', out) != EOF;
-      }
-      remaining -= got;
-    }
-  }
-  for (const TraceRecord& record : buffer_) {
-    if (!ok) break;
-    const std::string line = toJsonLine(record);
-    ok = std::fputs(line.c_str(), out) >= 0 && std::fputc('\n', out) != EOF;
-  }
-  for (const auto& [name, value] : counters) {
-    if (!ok) break;
-    ok = std::fprintf(out, R"({"counter":"%s","value":%)" PRIu64 "}\n",
-                      name.c_str(), value) > 0;
-  }
-  ok = std::fclose(out) == 0 && ok;
-  if (ok) {
-    // Drain: the export consumed everything, so the spill file goes away
-    // now rather than at destruction. Records emitted after this point
-    // would start a new trace segment (no caller does).
-    if (spill_ != nullptr) {
-      std::fclose(spill_);
-      spill_ = nullptr;
-      std::remove(spillPath_.c_str());
-    }
-    spilled_ = 0;
-    buffer_.clear();
-  }
-  return ok;
-}
-
 bool TraceCollector::exportMergedJsonl(
     const std::string& path, const std::string& metaJson,
     const std::vector<std::pair<std::string, std::uint64_t>>& counters,
     const std::vector<TraceCollector*>& parts) {
   if (parts.empty()) return false;
-  if (parts.size() == 1) return parts[0]->exportJsonl(path, metaJson, counters);
 
   // Streaming cursor over one part: spilled records first (they precede
   // the buffer in emission order), then the in-memory buffer, re-read in

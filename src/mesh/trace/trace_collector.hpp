@@ -6,13 +6,12 @@
 // locking). Components hold a cached `trace::TraceCollector*` that is null
 // when tracing is off — every hook site compiles down to one pointer test,
 // which the trace-overhead bench guards at <2% of the event loop.
-// Multi-channel runs merge their per-domain collectors into one file with
-// `exportMergedJsonl()`, ordered by (time, channel index).
+// `exportMergedJsonl()` writes a run's per-domain collectors into one file,
+// ordered by (time, channel index).
 //
 // Records buffer in memory as 32-byte PODs; past a threshold they spill to
-// `<path>.spill` so paper-scale runs stay bounded. `exportJsonl()` streams
-// meta line + records + counter totals to a JSONL file and removes the
-// spill. Packet uids (per-pool counters, so two domains can emit the same
+// `<path>.spill` so paper-scale runs stay bounded. The export streams meta
+// line + records + counter totals to a JSONL file and removes the spill. Packet uids (per-pool counters, so two domains can emit the same
 // uid) are normalized to dense per-trace pids at record time, so the export
 // bytes depend only on the run's seed.
 
@@ -93,21 +92,17 @@ class TraceCollector {
   void setChannelTag(std::uint8_t tag) { channelTag_ = tag; }
   std::uint8_t channelTag() const { return channelTag_; }
 
-  // Streams `metaJson` (a complete one-line JSON object), every record in
-  // emission order, then one `{"counter":...,"value":...}` line per entry
-  // of `counters`. Creates parent directories. Returns false (and keeps
-  // the buffered records) if any file operation fails.
-  bool exportJsonl(
-      const std::string& path, const std::string& metaJson,
-      const std::vector<std::pair<std::string, std::uint64_t>>& counters);
-
-  // Multi-channel export: k-way merges the records of `parts` (one
-  // collector per collision domain, each internally time-sorted) into one
-  // JSONL file. Global order is (timeNs, part index); packet pids are
-  // renumbered densely in merged first-appearance order so the output is a
-  // function of the run alone, not of per-domain pid allocation. With one
-  // part this is exactly exportJsonl. On success every part's records are
-  // drained, as with exportJsonl.
+  // Writes one JSONL trace: `metaJson` (a complete one-line JSON object),
+  // then the records of `parts` (one collector per collision domain, each
+  // internally time-sorted) k-way merged in global (timeNs, part index)
+  // order, then one `{"counter":...,"value":...}` line per entry of
+  // `counters`. Packet pids are renumbered densely in merged
+  // first-appearance order so the output is a function of the run alone,
+  // not of per-domain pid allocation; with one part (pids are already
+  // dense in first-appearance order) that renumbering is the identity.
+  // Creates parent directories. On success every part's records are
+  // drained and its spill file removed; on failure returns false and keeps
+  // the buffered records.
   static bool exportMergedJsonl(
       const std::string& path, const std::string& metaJson,
       const std::vector<std::pair<std::string, std::uint64_t>>& counters,

@@ -16,7 +16,6 @@ duration_s = 120
 fading = none
 seed = 42
 connected = false
-spatial_index = off
 
 [protocol]
 routing = tree
@@ -50,7 +49,6 @@ TEST(ConfigFile, ParsesEveryField) {
   EXPECT_FALSE(c.rayleighFading);
   EXPECT_EQ(c.seed, 42u);
   EXPECT_FALSE(c.ensureConnected);
-  EXPECT_FALSE(c.spatialIndex);
 
   EXPECT_EQ(c.protocol.routing, Routing::Tree);
   ASSERT_TRUE(c.protocol.metric.has_value());
@@ -131,7 +129,7 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"[scenario]\narea = 1000\n", "1000x1000"},
         BadCase{"[scenario]\nfading = fog\n", "rayleigh or none"},
         BadCase{"[scenario]\nwidgets = 9\n", "unknown [scenario] key"},
-        BadCase{"[scenario]\nspatial_index = maybe\n", "boolean"},
+        BadCase{"[scenario]\nspatial_index = off\n", "unknown [scenario] key"},
         BadCase{"[protocol]\nmetric = WCETT\n", "unknown metric"},
         BadCase{"[protocol]\nrouting = ring\n", "odmrp or tree"},
         BadCase{"[traffic]\nrate_pps = 0\n", "positive"},

@@ -8,10 +8,13 @@
 //  * gateway runs are byte-identical across domain worker counts, handoff
 //    counters agree between the relay, the trace and the JSONL row;
 //  * gateways=0 keeps the multi-channel path byte-identical to the
-//    gateway-less simulator, and channels=1 ignores gateways entirely.
+//    gateway-less simulator, and channels=1 ignores gateways entirely;
+//  * a fault on a gateway, scoped to every domain it has a radio in, is
+//    counted once.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -21,6 +24,7 @@
 #include <vector>
 
 #include "mesh/channelplan/channel_plan.hpp"
+#include "mesh/fault/fault_schedule.hpp"
 #include "mesh/gateway/gateway_set.hpp"
 #include "mesh/harness/scenario.hpp"
 #include "mesh/metrics/metric.hpp"
@@ -189,6 +193,40 @@ TEST(GatewayDelivery, SingleChannelIgnoresGateways) {
   EXPECT_EQ(results.handoffFrames, 0u);
   EXPECT_EQ(sim.gatewayRelay(), nullptr);
   EXPECT_GT(results.packetsDelivered, 0u);  // one domain: no seal
+}
+
+TEST(GatewayFaults, GatewayCrashCountsOnceAcrossDomains) {
+  // A gateway has a radio in both domains, so its crash is scoped to both;
+  // the run must still count one fault over one 2 s window.
+  harness::ScenarioConfig config = spanningScenario(71);
+  config.gateways = 6;
+  config.gatewaySelect = gateway::GatewaySelect::Boundary;
+  harness::Simulation probe{config};
+  const std::vector<net::NodeId>& roster = probe.gatewaySet().nodes;
+  ASSERT_NE(std::find(roster.begin(), roster.end(), net::NodeId{9}),
+            roster.end());
+  ASSERT_EQ(probe.plan()->channelOf(9), 1u);  // home domain 1
+
+  fault::FaultEvent crash;
+  crash.kind = trace::FaultKind::NodeCrash;
+  crash.node = 9;
+  crash.start = 8_s;
+  crash.duration = 2_s;
+  config.faults.add(crash);
+  harness::Simulation sim{config};
+  // Both domains arm a copy; the traced one is in domain 0, the lowest
+  // domain where the gateway has a radio.
+  ASSERT_NE(sim.faultInjector(0), nullptr);
+  ASSERT_NE(sim.faultInjector(1), nullptr);
+  EXPECT_TRUE(sim.faultInjector(0)->schedule().events().front().traced);
+  EXPECT_FALSE(sim.faultInjector(1)->schedule().events().front().traced);
+
+  const harness::RunResults results = sim.run();
+  EXPECT_EQ(results.faultsApplied, 1u);
+  EXPECT_EQ(results.faultsCleared, 1u);
+  EXPECT_DOUBLE_EQ(results.faultWindowS, 2.0);
+  EXPECT_EQ(sim.faultInjector(0)->stats().crashes, 1u);
+  EXPECT_EQ(sim.faultInjector(1)->stats().crashes, 1u);
 }
 
 // ---------------------------------------------------------------------------

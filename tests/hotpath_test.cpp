@@ -365,38 +365,5 @@ TEST(HotPath, FiftyNodeOdmrpRunIsByteIdenticalAcrossRuns) {
   EXPECT_GT(a.eventsExecuted, 100000u);
 }
 
-TEST(HotPath, TraceBytesIdenticalWithPoolingDisabled) {
-  // The MESH_PACKET_POOL escape hatch must be invisible: routing slots
-  // through plain operator new/delete cannot change uids, RNG draws, or a
-  // single trace byte. A shorter run than the determinism test keeps the
-  // pinned surface cheap.
-  const std::string dir = ::testing::TempDir();
-  const std::string traceOn = dir + "/hotpath_pool_on.trace.jsonl";
-  const std::string traceOff = dir + "/hotpath_pool_off.trace.jsonl";
-
-  auto scenario = [](const std::string& path) {
-    harness::ScenarioConfig config = fiftyNodeOdmrpScenario(path);
-    config.duration = 20_s;
-    config.traffic.stop = 20_s;
-    return config;
-  };
-
-  harness::Simulation simOn{scenario(traceOn)};
-  const harness::RunResults on = simOn.run();
-  net::PacketPool::setPoolingEnabled(false);
-  harness::Simulation simOff{scenario(traceOff)};
-  const harness::RunResults off = simOff.run();
-  net::PacketPool::setPoolingEnabled(true);
-
-  EXPECT_EQ(on.packetsSent, off.packetsSent);
-  EXPECT_EQ(on.packetsDelivered, off.packetsDelivered);
-  EXPECT_EQ(on.eventsExecuted, off.eventsExecuted);
-  EXPECT_EQ(on.pdr, off.pdr);
-  const std::string bytesOn = fileBytes(traceOn);
-  ASSERT_FALSE(bytesOn.empty());
-  EXPECT_TRUE(bytesOn == fileBytes(traceOff))
-      << "pooling on/off must be byte-identical";
-}
-
 }  // namespace
 }  // namespace mesh

@@ -1,12 +1,10 @@
 // Multi-channel collision domains (robustness tier).
 //
-// The channelplan subsystem promises two identities and pins both here:
-//  * channels=1 through the multi-domain machinery (forceChannelPlan) is
-//    byte-identical — results and trace bytes — to the legacy
-//    single-simulator path;
-//  * a channels>1 run is byte-identical no matter how many domain worker
-//    threads drive it (1 = the sequential reference order) and no matter
-//    the sweep's --jobs count.
+// The channelplan subsystem promises that a channels>1 run is
+// byte-identical no matter how many domain worker threads drive it (1 =
+// the sequential reference order) and no matter the sweep's --jobs count.
+// channels=1 runs the same machinery with one domain; golden_test pins
+// its results.
 // Plus the plan/scheduler unit contracts and the end-to-end per-channel
 // counter cross-check (`meshtrace verify` machinery).
 //
@@ -165,53 +163,24 @@ TEST(DomainScheduler, WorkerCountDoesNotChangeEventTotals) {
 // ---------------------------------------------------------------------------
 // Harness identities
 
-harness::ScenarioConfig smallScenario(std::uint64_t seed) {
+TEST(MultiChannel, OneChannelRunPlansOneDomainOverEveryNode) {
+  // channels=1 is the same domain machinery with a single domain: the plan
+  // exists, domain 0 holds every node, and the run reports no per-channel
+  // rows (only channels > 1 does).
   harness::ScenarioConfig config = harness::paperSimulationScenario();
-  config.seed = seed;
-  config.duration = 12_s;
-  config.traffic.payloadBytes = 256;
-  config.traffic.packetsPerSecond = 10.0;
-  config.traffic.start = 2_s;
-  config.traffic.stop = 12_s;
-  config.protocol = harness::ProtocolSpec::with(metrics::MetricKind::Spp);
-  Rng groupRng = Rng{seed}.fork("groups");
-  config.groups = harness::makeRandomGroups(config.nodeCount, 2, 8, 1, groupRng);
-  return config;
-}
-
-TEST(MultiChannel, OneChannelPlanIsByteIdenticalToLegacyPath) {
-  const std::string dir = ::testing::TempDir();
-  const auto runOnce = [&](bool forcePlan, const std::string& tracePath) {
-    harness::ScenarioConfig config = smallScenario(4242);
-    config.forceChannelPlan = forcePlan;
-    config.tracePath = tracePath;
-    harness::Simulation sim{config};
-    EXPECT_EQ(sim.channelCount(), 1u);
-    EXPECT_EQ(sim.plan() != nullptr, forcePlan);
-    return sim.run();
-  };
-
-  const std::string traceLegacy = dir + "/mc_legacy.trace.jsonl";
-  const std::string tracePlan = dir + "/mc_plan.trace.jsonl";
-  const harness::RunResults legacy = runOnce(false, traceLegacy);
-  const harness::RunResults plan = runOnce(true, tracePlan);
-
-  EXPECT_EQ(legacy.packetsSent, plan.packetsSent);
-  EXPECT_EQ(legacy.packetsDelivered, plan.packetsDelivered);
-  EXPECT_EQ(legacy.pdr, plan.pdr);
-  EXPECT_EQ(legacy.throughputBps, plan.throughputBps);
-  EXPECT_EQ(legacy.meanDelayS, plan.meanDelayS);
-  EXPECT_EQ(legacy.probeOverheadPct, plan.probeOverheadPct);
-  EXPECT_EQ(legacy.eventsExecuted, plan.eventsExecuted);
-  EXPECT_TRUE(plan.channelFrames.empty());  // only channels > 1 reports
-
-  const std::string legacyBytes = slurp(traceLegacy);
-  ASSERT_FALSE(legacyBytes.empty());
-  EXPECT_TRUE(legacyBytes == slurp(tracePlan))
-      << "channels=1 trace diverged between legacy and channelplan paths";
-  EXPECT_GT(legacy.packetsDelivered, 0u);
-  std::remove(traceLegacy.c_str());
-  std::remove(tracePlan.c_str());
+  config.seed = 4242;
+  config.duration = 3_s;
+  config.traffic.start = 1_s;
+  config.traffic.stop = 3_s;
+  config.groups = {harness::GroupSpec{1, {0}, {1, 2, 3}}};
+  harness::Simulation sim{config};
+  EXPECT_EQ(sim.channelCount(), 1u);
+  ASSERT_NE(sim.plan(), nullptr);
+  EXPECT_EQ(sim.plan()->domainNodes(0).size(), config.nodeCount);
+  EXPECT_EQ(&sim.domainChannel(0), &sim.channel());
+  const harness::RunResults results = sim.run();
+  EXPECT_TRUE(results.channelFrames.empty());
+  EXPECT_GT(results.eventsExecuted, 0u);
 }
 
 // 500 nodes, 3 channels, channel-local groups — the multi-channel scale

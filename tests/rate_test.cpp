@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "mesh/harness/config_file.hpp"
+#include "mesh/harness/experiment.hpp"
 #include "mesh/harness/scenario.hpp"
 #include "mesh/phy/phy_params.hpp"
 #include "mesh/rate/rate_controller.hpp"
@@ -226,16 +227,45 @@ ScenarioConfig tinyScenario() {
 }
 
 TEST(RateConfig, EnvVarOverridesTheControlKind) {
+  // The override is applied at the program edge, to the config...
   ASSERT_EQ(setenv("MESH_RATE_CONTROL", "minstrel", 1), 0);
-  harness::Simulation sim{tinyScenario()};
+  ScenarioConfig overridden = tinyScenario();
+  harness::applyEnvironmentOverrides(overridden);
   unsetenv("MESH_RATE_CONTROL");
+  EXPECT_EQ(overridden.rateControl, ControlKind::Minstrel);
+  harness::Simulation sim{overridden};
   ASSERT_NE(sim.node(0).rateController(), nullptr);
   EXPECT_EQ(sim.node(0).rateController()->kind(), ControlKind::Minstrel);
 
-  // Without the env var the default config stays on the legacy path: no
+  // ...and a malformed value leaves the config alone.
+  ASSERT_EQ(setenv("MESH_RATE_CONTROL", "turbo", 1), 0);
+  ScenarioConfig untouched = tinyScenario();
+  harness::applyEnvironmentOverrides(untouched);
+  unsetenv("MESH_RATE_CONTROL");
+  EXPECT_EQ(untouched.rateControl, ControlKind::Fixed);
+
+  // Without the override the default config stays on the legacy path: no
   // controller is even built.
   harness::Simulation legacy{tinyScenario()};
   EXPECT_EQ(legacy.node(0).rateController(), nullptr);
+}
+
+TEST(RateConfig, SimulationIgnoresTheEnvironment) {
+  // The library is a pure function of its config: overrides set in the
+  // environment change nothing unless an entry point applies them.
+  ASSERT_EQ(setenv("MESH_CHANNELS", "2", 1), 0);
+  ASSERT_EQ(setenv("MESH_RATE_CONTROL", "minstrel", 1), 0);
+  harness::Simulation sim{tinyScenario()};
+  unsetenv("MESH_CHANNELS");
+  unsetenv("MESH_RATE_CONTROL");
+  EXPECT_EQ(sim.channelCount(), 1u);
+  EXPECT_EQ(sim.node(0).rateController(), nullptr);
+
+  ASSERT_EQ(setenv("MESH_CHANNELS", "2", 1), 0);
+  ScenarioConfig overridden = tinyScenario();
+  harness::applyEnvironmentOverrides(overridden);
+  unsetenv("MESH_CHANNELS");
+  EXPECT_EQ(overridden.channels, 2u);
 }
 
 // ------------------------------------------------------ determinism anchors

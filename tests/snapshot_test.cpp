@@ -5,7 +5,7 @@
 // frozen link rows, channel plan, gateway roster — is byte-identical
 // (traces and results) to the same run building its world from scratch.
 // Covered:
-//  * capture/adopt on the 50-node legacy single-channel path;
+//  * capture/adopt on the 50-node single-channel paper cell;
 //  * copy-on-write isolation: a fault run adopting a snapshot never
 //    poisons it for later adopters;
 //  * sweep-level identity, cache on vs off, --jobs 1 vs 4;
@@ -168,7 +168,7 @@ TEST(SnapshotCache, EnvironmentOverrideParses) {
 }
 
 // ---------------------------------------------------------------------------
-// Capture/adopt byte-identity, 50-node legacy path
+// Capture/adopt byte-identity, 50-node single-channel cell
 
 harness::ScenarioConfig smallScenario(std::uint64_t seed) {
   harness::ScenarioConfig config = harness::paperSimulationScenario();

@@ -11,20 +11,18 @@
 //  * Incremental invalidation (Radio::setFailed -> invalidateRadio)
 //    produces exactly the rows a full rebuild would, and repeated
 //    invalidations coalesce.
-//  * A full 50-node ODMRP simulation writes byte-identical traces with
-//    the index on and off.
+//
+// The O(n²) pair scan survives only as the path for models without
+// geometry; here it is the oracle, forced by wrapping a geometric model in
+// ScanOnly (spatiallyIndexable() == false).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 #include <memory>
 #include <set>
-#include <sstream>
-#include <string>
 #include <vector>
 
-#include "mesh/harness/scenario.hpp"
 #include "mesh/phy/channel.hpp"
 #include "mesh/phy/fading.hpp"
 #include "mesh/phy/link_model.hpp"
@@ -139,6 +137,42 @@ TEST(Propagation, MaxRangeIsAConservativeUpperBound) {
 
 // ------------------------------------------------ channel row equivalence
 
+// Forwards every link query to `inner` but declines the spatial index, so
+// the channel builds its rows with the full pair scan.
+class ScanOnly final : public LinkModel {
+ public:
+  explicit ScanOnly(std::unique_ptr<LinkModel> inner)
+      : inner_{std::move(inner)} {}
+
+  double meanRxPowerW(net::NodeId from, net::NodeId to) const override {
+    return inner_->meanRxPowerW(from, to);
+  }
+  double sampleRxPowerW(net::NodeId from, net::NodeId to,
+                        Rng& rng) const override {
+    return inner_->sampleRxPowerW(from, to, rng);
+  }
+  double distanceM(net::NodeId from, net::NodeId to) const override {
+    return inner_->distanceM(from, to);
+  }
+  bool meansCacheable() const override { return inner_->meansCacheable(); }
+  double samplePowerGivenMeanW(net::NodeId from, net::NodeId to,
+                               double meanPowerW, Rng& rng) const override {
+    return inner_->samplePowerGivenMeanW(from, to, meanPowerW, rng);
+  }
+  const FadingModel* meanScaledFading() const override {
+    return inner_->meanScaledFading();
+  }
+
+ private:
+  std::unique_ptr<LinkModel> inner_;
+};
+
+std::unique_ptr<LinkModel> indexedOrScan(std::unique_ptr<LinkModel> model,
+                                         bool spatial) {
+  if (spatial) return model;
+  return std::make_unique<ScanOnly>(std::move(model));
+}
+
 struct Rig {
   sim::Simulator simulator;
   std::unique_ptr<Channel> channel;
@@ -156,9 +190,9 @@ struct Rig {
     auto model = std::make_unique<GeometricLinkModel>(
         params, positions, std::make_unique<TwoRayGroundModel>(),
         std::move(fading));
-    channel = std::make_unique<Channel>(simulator, std::move(model),
-                                        Rng{seed}.fork("channel"));
-    channel->setSpatialIndex(spatial);
+    channel = std::make_unique<Channel>(
+        simulator, indexedOrScan(std::move(model), spatial),
+        Rng{seed}.fork("channel"));
     for (std::size_t i = 0; i < positions.size(); ++i) {
       radios.push_back(std::make_unique<Radio>(
           simulator, static_cast<net::NodeId>(i), params));
@@ -314,8 +348,8 @@ TEST(SpatialChannel, MovingNodeCrossingCellsMatchesScanBitForBit) {
         simulator, params, std::move(mobility),
         std::make_unique<TwoRayGroundModel>(),
         std::make_unique<RayleighFading>());
-    Channel channel{simulator, std::move(model), Rng{56}.fork("channel")};
-    channel.setSpatialIndex(spatial);
+    Channel channel{simulator, indexedOrScan(std::move(model), spatial),
+                    Rng{56}.fork("channel")};
     channel.enableReachabilityRefresh(2_s);
     std::vector<std::unique_ptr<Radio>> radios;
     std::vector<std::uint64_t> delivered(n, 0);
@@ -357,57 +391,6 @@ TEST(SpatialChannel, MovingNodeCrossingCellsMatchesScanBitForBit) {
   std::uint64_t total = 0;
   for (const auto d : viaGrid) total += d;
   EXPECT_GT(total, 0u);
-}
-
-// --------------------------------------------- end-to-end byte identity
-
-std::string fileBytes(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-TEST(SpatialChannel, FiftyNodeOdmrpTraceIsByteIdenticalWithIndexOnAndOff) {
-  // The tentpole acceptance: the paper-scale scenario produces the exact
-  // same packet-lifecycle trace bytes with the spatial index on and off.
-  const std::string dir = ::testing::TempDir();
-  const auto makeConfig = [&](bool spatial, const std::string& tracePath) {
-    harness::ScenarioConfig config = harness::paperSimulationScenario();
-    config.seed = 12345;
-    config.duration = 25_s;
-    config.traffic.start = 5_s;
-    config.traffic.stop = 25_s;
-    Rng groupRng = Rng{config.seed}.fork("groups");
-    config.groups =
-        harness::makeRandomGroups(config.nodeCount, 2, 10, 1, groupRng);
-    config.protocol = harness::ProtocolSpec::with(metrics::MetricKind::Spp);
-    config.spatialIndex = spatial;
-    config.tracePath = tracePath;
-    return config;
-  };
-
-  const std::string traceOn = dir + "/spatial_on.trace.jsonl";
-  const std::string traceOff = dir + "/spatial_off.trace.jsonl";
-  harness::Simulation simOn{makeConfig(true, traceOn)};
-  const harness::RunResults on = simOn.run();
-  harness::Simulation simOff{makeConfig(false, traceOff)};
-  const harness::RunResults off = simOff.run();
-
-  EXPECT_TRUE(simOn.channel().spatialIndexActive());
-  EXPECT_FALSE(simOff.channel().spatialIndexActive());
-  EXPECT_EQ(on.packetsSent, off.packetsSent);
-  EXPECT_EQ(on.packetsDelivered, off.packetsDelivered);
-  EXPECT_EQ(on.eventsExecuted, off.eventsExecuted);
-  EXPECT_EQ(on.pdr, off.pdr);
-  EXPECT_EQ(on.meanDelayS, off.meanDelayS);
-
-  const std::string bytesOn = fileBytes(traceOn);
-  const std::string bytesOff = fileBytes(traceOff);
-  ASSERT_FALSE(bytesOn.empty());
-  EXPECT_TRUE(bytesOn == bytesOff) << "traces diverged between index on/off";
-  EXPECT_GT(on.eventsExecuted, 50000u);
 }
 
 }  // namespace

@@ -112,9 +112,9 @@ TEST(TraceCollector, ExportRoundTripsThroughTheReader) {
                  trace::DropReason::PhyCollision);
   EXPECT_EQ(collector.recordCount(), 5u);
 
-  ASSERT_TRUE(collector.exportJsonl(
+  ASSERT_TRUE(trace::TraceCollector::exportMergedJsonl(
       path, R"({"seed":42,"protocol":"ODMRP","nodes":10,"active_s":5})",
-      {{"mac.enqueued", 17u}}));
+      {{"mac.enqueued", 17u}}, {&collector}));
 
   const trace::TraceReadResult read = trace::readTraceFile(path);
   ASSERT_TRUE(read.trace.has_value()) << read.error;
@@ -152,8 +152,9 @@ TEST(TraceCollector, SpillPreservesRecordOrderAndCleansUp) {
                          static_cast<net::NodeId>(i), net::GroupId{2});
   }
   EXPECT_EQ(collector.recordCount(), 25u);
-  ASSERT_TRUE(collector.exportJsonl(
-      path, R"({"seed":1,"protocol":"ODMRP","nodes":25,"active_s":1})", {}));
+  ASSERT_TRUE(trace::TraceCollector::exportMergedJsonl(
+      path, R"({"seed":1,"protocol":"ODMRP","nodes":25,"active_s":1})", {},
+      {&collector}));
 
   const trace::TraceReadResult read = trace::readTraceFile(path);
   ASSERT_TRUE(read.trace.has_value()) << read.error;
@@ -175,8 +176,9 @@ TEST(TraceCollector, ExportCreatesMissingParentDirectories) {
   const std::string path = dir + "/out.jsonl";
   trace::TraceCollector collector;
   collector.memberJoin(SimTime::zero(), net::NodeId{0}, net::GroupId{1});
-  ASSERT_TRUE(collector.exportJsonl(
-      path, R"({"seed":1,"protocol":"ODMRP","nodes":1,"active_s":1})", {}));
+  ASSERT_TRUE(trace::TraceCollector::exportMergedJsonl(
+      path, R"({"seed":1,"protocol":"ODMRP","nodes":1,"active_s":1})", {},
+      {&collector}));
   EXPECT_TRUE(trace::readTraceFile(path).trace.has_value());
   std::remove(path.c_str());
 }

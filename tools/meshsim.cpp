@@ -23,6 +23,7 @@
 
 #include "mesh/common/stats.hpp"
 #include "mesh/harness/config_file.hpp"
+#include "mesh/harness/experiment.hpp"
 #include "mesh/harness/scenario.hpp"
 #include "mesh/runner/sweep.hpp"
 
@@ -116,12 +117,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: %s\n", path, parsed.error.c_str());
     return 1;
   }
+  // MESH_RATE_CONTROL / MESH_CHANNELS / MESH_DOMAIN_WORKERS / MESH_GATEWAYS
+  // override the file, for A/B runs without editing it.
+  ScenarioConfig scenario = *parsed.config;
+  applyEnvironmentOverrides(scenario);
 
   // One protocol, `repeat` seeds: a 1-protocol comparison sweep. The
   // runner shards the seeds across workers and folds deterministically.
   BenchOptions options;
   options.topologies = static_cast<std::size_t>(repeat);
-  options.baseSeed = parsed.config->seed;
+  options.baseSeed = scenario.seed;
   options.duration = SimTime::zero();  // keep the scenario's own duration
   options.verbose = false;
   options.jobs = static_cast<std::size_t>(jobs);
@@ -138,8 +143,8 @@ int main(int argc, char** argv) {
   }
 
   const runner::SweepReport report = runner::runComparisonSweep(
-      {parsed.config->protocol},
-      [&parsed](std::uint64_t) { return *parsed.config; }, options,
+      {scenario.protocol},
+      [&scenario](std::uint64_t) { return scenario; }, options,
       sink.get());
 
   if (csv) {
@@ -156,7 +161,7 @@ int main(int argc, char** argv) {
   } else {
     const ComparisonRow& row = report.rows.front();
     std::printf("%s — %zu nodes, protocol %s, %ld run%s\n", path,
-                parsed.config->nodeCount, parsed.config->protocol.name().c_str(),
+                scenario.nodeCount, scenario.protocol.name().c_str(),
                 repeat, repeat == 1 ? "" : "s");
     std::printf("  delivery    %.2f%% ± %.2f\n", row.pdr.mean() * 100.0,
                 row.pdr.ci95HalfWidth() * 100.0);
