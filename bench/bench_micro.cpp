@@ -13,6 +13,7 @@
 #include "mesh/common/rng.hpp"
 #include "mesh/gateway/gateway_relay.hpp"
 #include "mesh/harness/scenario.hpp"
+#include "mesh/harness/topology_snapshot.hpp"
 #include "mesh/mac/frames.hpp"
 #include "mesh/mac/mac80211.hpp"
 #include "mesh/net/packet.hpp"
@@ -27,7 +28,6 @@
 #include "mesh/phy/propagation.hpp"
 #include "mesh/rate/rate_controller.hpp"
 #include "mesh/rate/rate_table.hpp"
-#include "mesh/runner/snapshot_cache.hpp"
 #include "mesh/sim/event_queue.hpp"
 #include "mesh/sim/simulator.hpp"
 
@@ -552,45 +552,37 @@ void BM_SnapshotAdopt(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotAdopt)->Arg(500)->Arg(2000);
 
-// The sweep's setup path end to end through the SnapshotCache, cold vs
-// warm: cold pays the full world build plus the freeze/publish; warm is
-// acquire + adopt. One 500-node single-channel world per iteration (the
-// cache is re-created each time on the cold row so every iteration truly
-// builds).
-void BM_SweepSetupCold(benchmark::State& state) {
+// The sweep's per-run setup path, cold vs warm, on one 500-node
+// single-channel world: cold is what the first run of a topology pays
+// (full world build plus the freeze); warm is what each sibling run pays
+// (adopting the frozen world).
+harness::ScenarioConfig sweepSetupScenario() {
   harness::ScenarioConfig config = harness::scaledSimulationScenario(500);
   config.seed = 16;
   Rng groupRng = Rng{config.seed}.fork("groups");
   config.groups = harness::makeRandomGroups(500, 2, 10, 1, groupRng);
-  const std::string key = runner::SnapshotCache::keyFor(config);
+  return config;
+}
+
+void BM_SweepSetupCold(benchmark::State& state) {
+  const harness::ScenarioConfig config = sweepSetupScenario();
   for (auto _ : state) {
-    runner::SnapshotCache cache;
-    bool shouldBuild = false;
-    cache.acquire(key, shouldBuild);
     harness::Simulation sim{config};
-    cache.publish(key, sim.captureSnapshot());
-    benchmark::DoNotOptimize(cache.stats().built);
+    benchmark::DoNotOptimize(sim.captureSnapshot());
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SweepSetupCold);
 
 void BM_SweepSetupWarm(benchmark::State& state) {
-  harness::ScenarioConfig config = harness::scaledSimulationScenario(500);
-  config.seed = 16;
-  Rng groupRng = Rng{config.seed}.fork("groups");
-  config.groups = harness::makeRandomGroups(500, 2, 10, 1, groupRng);
-  const std::string key = runner::SnapshotCache::keyFor(config);
-  runner::SnapshotCache cache;
-  bool shouldBuild = false;
-  cache.acquire(key, shouldBuild);
+  const harness::ScenarioConfig config = sweepSetupScenario();
+  harness::TopologySnapshotPtr snapshot;
   {
     harness::Simulation builder{config};
-    cache.publish(key, builder.captureSnapshot());
+    snapshot = builder.captureSnapshot();
   }
   for (auto _ : state) {
-    harness::TopologySnapshotPtr snapshot = cache.acquire(key, shouldBuild);
-    harness::Simulation sim{config, std::move(snapshot)};
+    harness::Simulation sim{config, snapshot};
     benchmark::DoNotOptimize(sim.adoptedSnapshot());
   }
   state.SetItemsProcessed(state.iterations());
@@ -627,7 +619,7 @@ void BM_GatewayHandoff(benchmark::State& state) {
         *sims[d], std::move(model), Rng{22}.fork("channel", d)));
     // Disjoint id ranges per domain, as a channel plan would assign them —
     // the port radio reuses the gateway's id on the foreign channel.
-    for (int i = 0; i < 10; ++i) {
+    for (std::size_t i = 0; i < 10; ++i) {
       radios[d].push_back(std::make_unique<phy::Radio>(
           *sims[d], static_cast<net::NodeId>(d * 10 + i), params));
       channels[d]->attach(*radios[d].back());

@@ -67,7 +67,6 @@ void GatewayRelay::captureOutbound(std::size_t gatewayIndex,
 void GatewayRelay::captureInbound(std::size_t gatewayIndex, std::size_t domain,
                                   const net::PacketPtr& packet,
                                   net::NodeId from) {
-  Gateway& gw = gateways_[gatewayIndex];
   if (packet == nullptr) return;
   Staged staged;
   staged.at = domains_[domain].sim->now();

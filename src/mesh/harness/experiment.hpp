@@ -49,14 +49,6 @@ struct BenchOptions {
   // re-running the same sweep overwrites deterministically.
   std::string traceDir;
 
-  // Topology-snapshot cache (DESIGN §14): build each topology seed's
-  // immutable world once and share it across that seed's protocol runs.
-  // Results are byte-identical either way; off restores rebuild-every-run
-  // for A/B timing and bisection. The MESH_TOPOLOGY_CACHE environment
-  // variable ("on"/"off") overrides this knob at sweep time, and
-  // MESH_TOPOLOGY_CACHE_MB bounds resident snapshot memory (default 512).
-  bool topologyCache{true};
-
   // Applies MESH_BENCH_* environment overrides on top of the given
   // defaults (which should be the paper-scale values).
   static BenchOptions fromEnvironment(std::size_t defaultTopologies = 10,

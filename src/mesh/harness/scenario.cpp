@@ -403,11 +403,11 @@ void Simulation::build() {
   // Snapshot-eligible worlds force the reachability build at construction
   // (DESIGN §14). Builds draw no RNG and static positions make t=0 rows
   // identical to the lazy first-transmission build, so results cannot
-  // change — and construction cost lands in setup_seconds whether the
-  // snapshot cache is on or off, keeping the amortization A/B honest.
-  // Adopting runs splice the frozen rows in instead of rebuilding. Runs
-  // after gateway wiring so the rows cover the relay's port radios, which
-  // attach after each domain's own nodes.
+  // change — and construction cost lands in setup_seconds whether a run
+  // adopts its world or builds it from scratch, keeping the comparison
+  // honest. Adopting runs splice the frozen rows in instead of
+  // rebuilding. Runs after gateway wiring so the rows cover the relay's
+  // port radios, which attach after each domain's own nodes.
   if (staticGeometry) {
     for (std::size_t d = 0; d < domains; ++d) {
       if (adopted_ != nullptr) {
@@ -645,7 +645,7 @@ fault::RecoveryReport mergeRecoveryReports(
 
 TopologySnapshotPtr Simulation::captureSnapshot() {
   if (!snapshotEligible(config_)) return nullptr;
-  // An adopting run has nothing new to freeze — the cache already holds
+  // An adopting run has nothing new to freeze — its snapshot already holds
   // this world.
   MESH_REQUIRE(adopted_ == nullptr);
   auto snapshot = std::make_shared<TopologySnapshot>();

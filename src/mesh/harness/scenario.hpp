@@ -251,8 +251,8 @@ struct RunResults {
   std::vector<gateway::GatewayCounters> gatewayStats;
 };
 
-// True when `config` describes a world the topology-snapshot cache can
-// capture and re-adopt (DESIGN §14): static geometric placement whose
+// True when `config` describes a world that can be captured as a topology
+// snapshot and re-adopted (DESIGN §14): static geometric placement whose
 // link means are cacheable — no mobility, no custom link-model factory.
 // Ineligible scenarios always build from scratch; the runner reports
 // them as snapshot "off".
@@ -265,12 +265,13 @@ class Simulation {
   // Adopt-snapshot construction (DESIGN §14): skips placement, the channel
   // plan, gateway selection and every reachability build by splicing in
   // the frozen world. `snapshot` must have been captured from a scenario
-  // with identical topology-relevant keys (same seed, node count, area,
-  // placement, phy params, channels, gateways — the runner's SnapshotCache
-  // keys on exactly that subset); protocol, traffic, duration, faults and
-  // rate control may differ freely. Results are byte-identical to a
-  // from-scratch build: reachability builds draw no RNG and Rng::fork is
-  // const, so skipping work never perturbs any stream.
+  // with identical topology-relevant fields (same seed, node count, area,
+  // placement, phy params, channels, gateways — the sweep runner shares a
+  // snapshot only among the runs of one topology, which differ in none of
+  // them); protocol, traffic, duration, faults and rate control may differ
+  // freely. Results are byte-identical to a from-scratch build:
+  // reachability builds draw no RNG and Rng::fork is const, so skipping
+  // work never perturbs any stream.
   Simulation(ScenarioConfig config, TopologySnapshotPtr snapshot);
 
   // Freezes this simulation's immutable world for reuse. Valid only on

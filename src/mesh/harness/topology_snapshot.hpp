@@ -21,7 +21,6 @@
 // observe each other. Eligibility (harness::snapshotEligible) is the
 // static-geometry subset: no mobility, no custom link-model factory.
 
-#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -40,19 +39,6 @@ struct TopologySnapshot {
   // (size 1 on a single-channel run). Rows include gateway port radios,
   // which attach after the domain's own nodes.
   std::vector<std::shared_ptr<const phy::Channel::ReachSnapshot>> reach;
-
-  // Resident size estimate for the snapshot cache's memory budget.
-  std::size_t approxBytes() const {
-    std::size_t bytes = sizeof(TopologySnapshot);
-    bytes += positions.capacity() * sizeof(Vec2);
-    bytes += plan.assignment.capacity() * sizeof(std::uint8_t);
-    bytes += plan.domainSizes.capacity() * sizeof(std::uint32_t);
-    bytes += gatewaySet.nodes.capacity() * sizeof(net::NodeId);
-    for (const auto& r : reach) {
-      if (r != nullptr) bytes += r->approxBytes();
-    }
-    return bytes;
-  }
 };
 
 using TopologySnapshotPtr = std::shared_ptr<const TopologySnapshot>;

@@ -46,6 +46,11 @@ struct ReportEntry {
 };
 
 struct ProbeMessage {
+  ProbeMessage() = default;
+  // A bare probe: no neighbor report, no rate-adaptation extension.
+  ProbeMessage(ProbeType probeType, net::NodeId from, std::uint32_t sequence)
+      : type{probeType}, sender{from}, seq{sequence} {}
+
   ProbeType type{ProbeType::Single};
   net::NodeId sender{net::kInvalidNode};
   std::uint32_t seq{0};

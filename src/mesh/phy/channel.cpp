@@ -249,15 +249,6 @@ void Channel::applyDirtyRadios() {
   stats_.rowsRebuilt += affected.size();
 }
 
-std::size_t Channel::ReachSnapshot::approxBytes() const {
-  std::size_t bytes = sizeof(ReachSnapshot);
-  bytes += rows.capacity() * sizeof(rows[0]);
-  for (const auto& row : rows) bytes += row.capacity() * sizeof(CachedLink);
-  bytes += positions.capacity() * sizeof(Vec2);
-  bytes += grid.approxBytes();
-  return bytes;
-}
-
 std::shared_ptr<const Channel::ReachSnapshot> Channel::freezeAndShare() {
   MESH_REQUIRE(cacheMeans_);
   MESH_REQUIRE(refreshInterval_.isZero());

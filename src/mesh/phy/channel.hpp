@@ -112,7 +112,6 @@ class Channel {
     std::vector<Vec2> positions;    // !spatialActive
     double reachRadiusM{0.0};
     bool spatialActive{false};
-    std::size_t approxBytes() const;
   };
 
   // `fadingHeadroom`: see file comment. The link model must outlive the
@@ -180,8 +179,8 @@ class Channel {
   // Adopts a previously frozen snapshot in place of the first build: marks
   // reachability built and closes attach. The snapshot must come from an
   // identically constructed channel (the row count is checked; geometric
-  // identity is the caller's contract — the runner's SnapshotCache keys on
-  // every topology-relevant config field). Later mutations copy-on-write:
+  // identity is the caller's contract — the sweep runner shares a snapshot
+  // only among the runs of one topology). Later mutations copy-on-write:
   // invalidateRadio/applyDirtyRadios rebuild affected rows into local
   // storage, a full invalidation detaches from the snapshot entirely, and
   // overrideLinkLoss never touches rows at all — so a sibling run sharing

@@ -53,14 +53,6 @@ class SpatialGrid {
     return built() ? cellOf_.size() : 0;
   }
 
-  // Resident size estimate for cache accounting (the snapshot cache's
-  // memory budget, DESIGN §14). Counts the CSR arrays, not sizeof(*this).
-  std::size_t approxBytes() const {
-    return (cellOf_.capacity() + cellStart_.capacity() +
-            bucketed_.capacity() + next_.capacity()) *
-           sizeof(std::uint32_t);
-  }
-
  private:
   std::size_t cellIndexOf(Vec2 p) const;
 

@@ -16,7 +16,7 @@
 namespace mesh::runner {
 
 struct RunPlan {
-  std::size_t topologyIndex{0};
+  std::size_t topologyIndex{0};  // plans sharing it share one world (§14)
   std::size_t protocolIndex{0};
   std::uint64_t seed{0};
   std::string protocolName;
@@ -43,12 +43,12 @@ struct RunRecord {
   double wallSeconds{0.0};
   std::uint64_t eventsExecuted{0};
   // World-construction time (Simulation ctor: placement, channel plan,
-  // reachability builds or snapshot adoption) — the share the topology
-  // snapshot cache amortizes. Subset of wallSeconds.
+  // reachability builds or snapshot adoption) — the share that sharing a
+  // topology's world across its runs amortizes. Subset of wallSeconds.
   double setupSeconds{0.0};
   // How this run obtained its world: "built" (constructed from scratch and
-  // published to the cache), "reused" (adopted a cached snapshot), or
-  // "off" (cache disabled or scenario ineligible).
+  // frozen for its topology's sibling runs), "reused" (adopted a sibling's
+  // snapshot), or "off" (scenario ineligible, built from scratch).
   std::string snapshot{"off"};
 };
 

@@ -85,6 +85,77 @@ std::string traceFileName(const RunPlan& plan) {
          std::to_string(plan.seed) + ".trace.jsonl";
 }
 
+// One topology's shared world. Its first run builds the world while
+// holding `mutex` and leaves the frozen snapshot here; sibling runs wait
+// for it and adopt it. A builder that throws leaves `built` false, so the
+// next sibling builds instead. (A mutex rather than std::call_once: with
+// libstdc++, call_once sits on pthread_once, and under ThreadSanitizer a
+// callable that throws leaves the flag stuck, hanging every later call.)
+// The last of the topology's runs to finish drops the slot's reference,
+// so a serial sweep holds one world at a time and a parallel one roughly
+// one per worker.
+struct TopologySlot {
+  std::mutex mutex;  // guards every field below
+  bool built{false};
+  harness::TopologySnapshotPtr snapshot;
+  std::size_t runsLeft{0};
+};
+
+// Executes one plan on the current thread, capturing results, telemetry,
+// and any escaped exception. The run builds its topology's world or
+// adopts it (byte-identical results either way) and records which in
+// RunRecord::snapshot.
+RunRecord executePlan(const RunPlan& plan, TopologySlot& slot) {
+  RunRecord record;
+  record.topologyIndex = plan.topologyIndex;
+  record.protocolIndex = plan.protocolIndex;
+  record.seed = plan.seed;
+  record.protocolName = plan.protocolName;
+  record.tracePath = plan.config.tracePath;
+
+  auto start = std::chrono::steady_clock::now();
+  try {
+    std::unique_ptr<harness::Simulation> sim;
+    harness::TopologySnapshotPtr snapshot;
+    {
+      // Siblings block here while the builder constructs; that wait is
+      // excluded from setup_seconds (it is contention, not construction).
+      std::lock_guard<std::mutex> lock{slot.mutex};
+      if (!slot.built) {
+        start = std::chrono::steady_clock::now();
+        sim = std::make_unique<harness::Simulation>(plan.config);
+        slot.snapshot = sim->captureSnapshot();  // null when ineligible
+        slot.built = true;
+        if (slot.snapshot != nullptr) record.snapshot = "built";
+      } else {
+        snapshot = slot.snapshot;
+      }
+    }
+    if (sim == nullptr) {
+      start = std::chrono::steady_clock::now();
+      if (snapshot != nullptr) {
+        sim = std::make_unique<harness::Simulation>(plan.config,
+                                                    std::move(snapshot));
+        record.snapshot = "reused";
+      } else {
+        sim = std::make_unique<harness::Simulation>(plan.config);
+      }
+    }
+    record.setupSeconds = elapsedSeconds(start);
+    record.results = sim->run();
+    record.eventsExecuted = record.results.eventsExecuted;
+    record.ok = true;
+  } catch (const std::exception& e) {
+    record.error = e.what();
+  } catch (...) {
+    record.error = "unknown exception";
+  }
+  record.wallSeconds = elapsedSeconds(start);
+  std::lock_guard<std::mutex> lock{slot.mutex};
+  if (--slot.runsLeft == 0) slot.snapshot.reset();
+  return record;
+}
+
 }  // namespace
 
 std::vector<RunPlan> buildComparisonPlans(
@@ -123,55 +194,6 @@ std::vector<RunPlan> buildComparisonPlans(
   return plans;
 }
 
-RunRecord executePlan(const RunPlan& plan, SnapshotCache* cache) {
-  RunRecord record;
-  record.topologyIndex = plan.topologyIndex;
-  record.protocolIndex = plan.protocolIndex;
-  record.seed = plan.seed;
-  record.protocolName = plan.protocolName;
-  record.tracePath = plan.config.tracePath;
-
-  TopologySnapshotPtr snapshot;
-  bool shouldBuild = false;
-  std::string key;
-  if (cache != nullptr && harness::snapshotEligible(plan.config)) {
-    key = SnapshotCache::keyFor(plan.config);
-    // May block while a sibling run builds this key's world; the wait is
-    // excluded from setup_seconds (it is contention, not construction).
-    snapshot = cache->acquire(key, shouldBuild);
-  }
-
-  const auto start = std::chrono::steady_clock::now();
-  try {
-    std::unique_ptr<harness::Simulation> sim;
-    if (snapshot != nullptr) {
-      sim = std::make_unique<harness::Simulation>(plan.config,
-                                                  std::move(snapshot));
-      record.snapshot = "reused";
-    } else {
-      sim = std::make_unique<harness::Simulation>(plan.config);
-      if (shouldBuild) {
-        cache->publish(key, sim->captureSnapshot());
-        shouldBuild = false;
-        record.snapshot = "built";
-      }
-    }
-    record.setupSeconds = elapsedSeconds(start);
-    record.results = sim->run();
-    record.eventsExecuted = record.results.eventsExecuted;
-    record.ok = true;
-  } catch (const std::exception& e) {
-    record.error = e.what();
-  } catch (...) {
-    record.error = "unknown exception";
-  }
-  // Release the claim if construction threw before publish: waiters on the
-  // key re-claim and fail individually, like the cache-off path would.
-  if (shouldBuild) cache->abandon(key);
-  record.wallSeconds = elapsedSeconds(start);
-  return record;
-}
-
 SweepReport runComparisonSweep(
     const std::vector<harness::ProtocolSpec>& protocols,
     const std::function<harness::ScenarioConfig(std::uint64_t topologySeed)>&
@@ -184,13 +206,10 @@ SweepReport runComparisonSweep(
   const std::size_t jobs =
       options.jobs == 0 ? ThreadPool::defaultWorkerCount() : options.jobs;
 
-  // Topology-snapshot cache: on by default, MESH_TOPOLOGY_CACHE overrides
-  // the BenchOptions knob either way. Scoped to this sweep — worlds are
-  // shared across the sweep's runs, never across sweeps.
-  const bool cacheEnabled = SnapshotCache::enabledFromEnvironment().value_or(
-      options.topologyCache);
-  std::unique_ptr<SnapshotCache> cache;
-  if (cacheEnabled) cache = std::make_unique<SnapshotCache>();
+  // Worlds are shared within a topology's runs, never across topologies
+  // or sweeps.
+  std::vector<TopologySlot> slots(options.topologies);
+  for (const RunPlan& plan : plans) ++slots[plan.topologyIndex].runsLeft;
 
   Aggregator aggregator{protocols, options.topologies};
   ProgressPrinter progress{options.verbose, plans.size()};
@@ -204,14 +223,14 @@ SweepReport runComparisonSweep(
   if (jobs <= 1) {
     // Legacy serial path: everything on the calling thread, in plan order.
     for (const RunPlan& plan : plans) {
-      finishRun(executePlan(plan, cache.get()));
+      finishRun(executePlan(plan, slots[plan.topologyIndex]));
     }
   } else {
     ThreadPool pool{jobs};
-    SnapshotCache* cachePtr = cache.get();
     for (const RunPlan& plan : plans) {
-      pool.submit([&plan, &finishRun, cachePtr] {
-        finishRun(executePlan(plan, cachePtr));
+      TopologySlot& slot = slots[plan.topologyIndex];
+      pool.submit([&plan, &finishRun, &slot] {
+        finishRun(executePlan(plan, slot));
       });
     }
     pool.wait();

@@ -10,6 +10,10 @@
 // thread, (b) folding results in the serial loop's (topology, protocol)
 // order via the Aggregator, and (c) serializing progress/log output.
 //
+// World sharing (DESIGN §14): the runs of one topology share a world.
+// The first of them builds it and freezes a TopologySnapshot; its
+// siblings adopt that snapshot. Results are byte-identical either way.
+//
 // Per-run exceptions are captured into the RunRecord: one diverging
 // simulation marks its cell failed and the sweep report says so, instead
 // of the whole sweep aborting.
@@ -20,7 +24,6 @@
 #include "mesh/harness/experiment.hpp"
 #include "mesh/runner/run_plan.hpp"
 #include "mesh/runner/result_sink.hpp"
-#include "mesh/runner/snapshot_cache.hpp"
 
 namespace mesh::runner {
 
@@ -32,10 +35,10 @@ struct SweepReport {
   std::size_t failures{0};
   double wallSeconds{0.0};   // whole-sweep wall clock
   std::size_t jobs{1};       // worker count actually used
-  // Topology-snapshot cache telemetry (DESIGN §14): runs that built and
-  // published a world vs runs that adopted a cached one, and the summed
-  // per-run setup_seconds (the quantity the cache amortizes). Both counts
-  // zero when the cache is off or every scenario was ineligible.
+  // World-sharing telemetry (DESIGN §14): runs that built and froze their
+  // topology's world vs runs that adopted it, and the summed per-run
+  // setup_seconds (the quantity sharing amortizes). Both counts are zero
+  // when every scenario was ineligible.
   std::size_t snapshotsBuilt{0};
   std::size_t snapshotsReused{0};
   double setupSeconds{0.0};
@@ -45,26 +48,18 @@ struct SweepReport {
 // serially, once per *topology* (the config is topology-determined;
 // protocol/seed/duration are stamped onto a copy per cell) — so stateful
 // factories stay deterministic, need not be thread-safe, and are not
-// re-run per protocol.
+// re-run per protocol. Plans with the same `topologyIndex` share a world.
 std::vector<RunPlan> buildComparisonPlans(
     const std::vector<harness::ProtocolSpec>& protocols,
     const std::function<harness::ScenarioConfig(std::uint64_t topologySeed)>&
         makeScenario,
     const harness::BenchOptions& options);
 
-// Executes one plan on the current thread, capturing results, telemetry,
-// and any escaped exception. With a non-null `cache` and a
-// snapshot-eligible scenario, the run builds-or-adopts the shared world
-// (byte-identical results either way) and records which in
-// RunRecord::snapshot.
-RunRecord executePlan(const RunPlan& plan, SnapshotCache* cache);
-inline RunRecord executePlan(const RunPlan& plan) {
-  return executePlan(plan, nullptr);
-}
-
 // The full sweep: plan, shard across `options.jobs` workers (0 = one per
 // hardware thread, 1 = serial on the calling thread), stream each
-// completed run into `sink` (optional), and fold deterministically.
+// completed run into `sink` (optional), and fold deterministically. Each
+// topology's world lives only while its runs do: a serial sweep holds one
+// world at a time.
 SweepReport runComparisonSweep(
     const std::vector<harness::ProtocolSpec>& protocols,
     const std::function<harness::ScenarioConfig(std::uint64_t topologySeed)>&

@@ -44,6 +44,13 @@
 
 namespace {
 std::atomic<std::uint64_t> g_newCalls{0};
+
+// Every replaced operator delete frees through here. Kept out of line so
+// the compiler does not pair an inlined std::free with the operator new
+// at each allocation site and report a mismatched new/delete: the two
+// sides are matched by construction (the hooks below allocate with
+// std::malloc).
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -68,13 +75,13 @@ void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   ++g_newCalls;
   return std::malloc(size);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace mesh {

@@ -171,7 +171,9 @@ TEST_P(WireFormats, SeqWindowAgreesWithNaiveSet) {
     const bool windowNew = window.checkAndInsert(seq);
     // The window may conservatively call an old-but-unseen seq a
     // duplicate (outside its 64 range); it must never do the reverse.
-    if (windowNew) EXPECT_TRUE(naiveNew) << "seq " << seq;
+    if (windowNew) {
+      EXPECT_TRUE(naiveNew) << "seq " << seq;
+    }
     if (naiveNew) seen.push_back(seq);
   }
 }

@@ -1,17 +1,18 @@
-// Topology-snapshot cache (robustness tier), DESIGN §14.
+// Topology snapshots (robustness tier), DESIGN §14.
 //
 // The snapshot subsystem promises one identity and pins it here from every
-// angle: a run that adopts a cached world — placement, spatial grid,
+// angle: a run that adopts a shared world — placement, spatial grid,
 // frozen link rows, channel plan, gateway roster — is byte-identical
 // (traces and results) to the same run building its world from scratch.
 // Covered:
 //  * capture/adopt on the 50-node single-channel paper cell;
 //  * copy-on-write isolation: a fault run adopting a snapshot never
 //    poisons it for later adopters;
-//  * sweep-level identity, cache on vs off, --jobs 1 vs 4;
+//  * sweep-level identity against every plan run standalone, --jobs 1
+//    and 4, with one world built per topology;
 //  * the 500-node 3-channel gateway scenario across domain worker counts;
-//  * ineligible scenarios (mobility) bypassing the cache as "off";
-//  * SnapshotCache unit contracts (key scope, reuse, abandon, LRU budget).
+//  * ineligible scenarios (mobility) building from scratch as "off";
+//  * a topology whose world cannot be built failing only its own runs.
 //
 // Durations are short: the point is determinism, not protocol performance.
 
@@ -19,9 +20,10 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -30,8 +32,8 @@
 #include "mesh/harness/scenario.hpp"
 #include "mesh/harness/topology_snapshot.hpp"
 #include "mesh/metrics/metric.hpp"
+#include "mesh/phy/link_model.hpp"
 #include "mesh/runner/result_sink.hpp"
-#include "mesh/runner/snapshot_cache.hpp"
 #include "mesh/runner/sweep.hpp"
 
 namespace mesh {
@@ -45,126 +47,6 @@ std::string slurp(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
-}
-
-// ---------------------------------------------------------------------------
-// SnapshotCache unit contracts
-
-TEST(SnapshotCache, KeyCoversTopologyFieldsOnly) {
-  harness::ScenarioConfig base = harness::paperSimulationScenario();
-  base.seed = 42;
-  const std::string key = runner::SnapshotCache::keyFor(base);
-
-  // Protocol-/workload-side fields must NOT change the key: sharing the
-  // world across protocols is the whole point.
-  {
-    harness::ScenarioConfig c = base;
-    c.protocol = harness::ProtocolSpec::with(metrics::MetricKind::Ett);
-    c.duration = 5_s;
-    c.traffic.packetsPerSecond = 99.0;
-    c.domainWorkers = 4;
-    c.tracePath = "/tmp/other.trace";
-    EXPECT_EQ(runner::SnapshotCache::keyFor(c), key);
-  }
-  // Topology-side fields MUST change the key.
-  const auto differs = [&](harness::ScenarioConfig c) {
-    return runner::SnapshotCache::keyFor(c) != key;
-  };
-  {
-    harness::ScenarioConfig c = base;
-    c.seed = 43;
-    EXPECT_TRUE(differs(c));
-  }
-  {
-    harness::ScenarioConfig c = base;
-    c.nodeCount = 60;
-    EXPECT_TRUE(differs(c));
-  }
-  {
-    harness::ScenarioConfig c = base;
-    c.channels = 3;
-    EXPECT_TRUE(differs(c));
-  }
-  {
-    harness::ScenarioConfig c = base;
-    c.gateways = 4;
-    EXPECT_TRUE(differs(c));
-  }
-  {
-    harness::ScenarioConfig c = base;
-    c.node.phy.txPowerW *= 2.0;
-    EXPECT_TRUE(differs(c));
-  }
-  {
-    harness::ScenarioConfig c = base;
-    c.placement = harness::Placement::Grid;
-    EXPECT_TRUE(differs(c));
-  }
-}
-
-runner::TopologySnapshotPtr dummySnapshot(std::size_t positionCount) {
-  auto snap = std::make_shared<runner::TopologySnapshot>();
-  snap->positions.resize(positionCount);
-  return snap;
-}
-
-TEST(SnapshotCache, FirstClaimantBuildsLaterCallersReuse) {
-  runner::SnapshotCache cache;
-  bool shouldBuild = false;
-  EXPECT_EQ(cache.acquire("k", shouldBuild), nullptr);
-  EXPECT_TRUE(shouldBuild);
-
-  auto snap = dummySnapshot(10);
-  cache.publish("k", snap);
-
-  shouldBuild = true;
-  EXPECT_EQ(cache.acquire("k", shouldBuild), snap);
-  EXPECT_FALSE(shouldBuild);
-  const runner::SnapshotCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.built, 1u);
-  EXPECT_EQ(stats.reused, 1u);
-  EXPECT_GT(stats.bytes, 0u);
-}
-
-TEST(SnapshotCache, AbandonReleasesTheClaim) {
-  runner::SnapshotCache cache;
-  bool shouldBuild = false;
-  EXPECT_EQ(cache.acquire("k", shouldBuild), nullptr);
-  ASSERT_TRUE(shouldBuild);
-  cache.abandon("k");
-  EXPECT_EQ(cache.stats().failed, 1u);
-  // The key is claimable again after a failed build.
-  shouldBuild = false;
-  EXPECT_EQ(cache.acquire("k", shouldBuild), nullptr);
-  EXPECT_TRUE(shouldBuild);
-}
-
-TEST(SnapshotCache, EvictsLeastRecentlyUsedOverBudget) {
-  // Each dummy snapshot is ~48 KiB of positions; the budget holds one.
-  runner::SnapshotCache cache{64 * 1024};
-  bool shouldBuild = false;
-  cache.acquire("a", shouldBuild);
-  cache.publish("a", dummySnapshot(3000));
-  cache.acquire("b", shouldBuild);
-  cache.publish("b", dummySnapshot(3000));  // evicts "a" (LRU back)
-
-  EXPECT_EQ(cache.stats().evicted, 1u);
-  EXPECT_NE(cache.acquire("b", shouldBuild), nullptr);  // still resident
-  EXPECT_FALSE(shouldBuild);
-  EXPECT_EQ(cache.acquire("a", shouldBuild), nullptr);  // evicted: rebuild
-  EXPECT_TRUE(shouldBuild);
-  cache.abandon("a");
-}
-
-TEST(SnapshotCache, EnvironmentOverrideParses) {
-  ::setenv("MESH_TOPOLOGY_CACHE", "off", 1);
-  EXPECT_EQ(runner::SnapshotCache::enabledFromEnvironment(), false);
-  ::setenv("MESH_TOPOLOGY_CACHE", "on", 1);
-  EXPECT_EQ(runner::SnapshotCache::enabledFromEnvironment(), true);
-  ::setenv("MESH_TOPOLOGY_CACHE", "bogus", 1);
-  EXPECT_EQ(runner::SnapshotCache::enabledFromEnvironment(), std::nullopt);
-  ::unsetenv("MESH_TOPOLOGY_CACHE");
-  EXPECT_EQ(runner::SnapshotCache::enabledFromEnvironment(), std::nullopt);
 }
 
 // ---------------------------------------------------------------------------
@@ -211,7 +93,7 @@ TEST(Snapshot, AdoptIsByteIdenticalToScratch) {
     ASSERT_NE(snapshot, nullptr);
     EXPECT_EQ(snapshot->positions.size(), config.nodeCount);
     ASSERT_EQ(snapshot->reach.size(), 1u);
-    EXPECT_GT(snapshot->approxBytes(), 0u);
+    EXPECT_EQ(snapshot->reach.front()->rows.size(), config.nodeCount);
     builder = sim.run();
   }
 
@@ -339,30 +221,17 @@ TEST(Snapshot, FaultRunsDoNotPoisonTheSharedWorld) {
 }
 
 // ---------------------------------------------------------------------------
-// Sweep-level identity: cache on vs off, --jobs 1 vs 4
+// Sweep-level identity: shared worlds vs every plan run standalone
 
-void expectEquivalentRecords(const runner::SweepReport& a,
-                             const runner::SweepReport& b) {
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const runner::RunRecord& x = a.records[i];
-    const runner::RunRecord& y = b.records[i];
-    // Everything but wall-clock telemetry and the snapshot provenance tag
-    // must agree exactly.
-    EXPECT_EQ(x.seed, y.seed);
-    EXPECT_EQ(x.protocolName, y.protocolName);
-    EXPECT_EQ(x.ok, y.ok);
-    EXPECT_EQ(x.results.packetsSent, y.results.packetsSent);
-    EXPECT_EQ(x.results.packetsDelivered, y.results.packetsDelivered);
-    EXPECT_EQ(x.results.pdr, y.results.pdr);
-    EXPECT_EQ(x.results.throughputBps, y.results.throughputBps);
-    EXPECT_EQ(x.results.meanDelayS, y.results.meanDelayS);
-    EXPECT_EQ(x.results.probeOverheadPct, y.results.probeOverheadPct);
-    EXPECT_EQ(x.results.controlBytesReceived, y.results.controlBytesReceived);
-    EXPECT_EQ(x.eventsExecuted, y.eventsExecuted);
-    EXPECT_EQ(x.results.channelFrames, y.results.channelFrames);
-    EXPECT_EQ(x.results.handoffFrames, y.results.handoffFrames);
-  }
+// A record's JSONL line without the fields that legitimately differ from a
+// standalone run: wall-clock telemetry, the snapshot provenance tag and
+// the trace directory (the file name is kept).
+std::string comparableJson(runner::RunRecord record) {
+  record.wallSeconds = 0.0;
+  record.setupSeconds = 0.0;
+  record.snapshot.clear();
+  record.tracePath.erase(0, record.tracePath.find_last_of('/') + 1);
+  return runner::JsonlResultSink::toJson(record);
 }
 
 void expectTraceDirsMatch(const runner::SweepReport& reference,
@@ -388,71 +257,80 @@ void removeSweepOutputs(const runner::SweepReport& report,
   std::remove((dir + "/results.jsonl").c_str());
 }
 
-TEST(SnapshotSweep, CacheOnMatchesCacheOffAcrossJobCounts) {
-  ::unsetenv("MESH_TOPOLOGY_CACHE");  // the knob under test
-  const std::vector<harness::ProtocolSpec> protocols = {
-      harness::ProtocolSpec::original(),
-      harness::ProtocolSpec::with(metrics::MetricKind::Spp)};
+TEST(SnapshotSweep, MatchesStandaloneRunsAcrossJobCounts) {
+  const std::vector<harness::ProtocolSpec> protocols =
+      harness::figure2Protocols();
+  constexpr std::size_t kTopologies = 3;
+  harness::BenchOptions options;
+  options.topologies = kTopologies;
+  options.duration = SimTime::zero();  // keep the scenario's 10 s
+  options.baseSeed = 6200;
+  options.verbose = false;
 
-  const auto runSweep = [&](bool cache, std::size_t jobs,
-                            const std::string& dir) {
-    harness::BenchOptions options;
-    options.topologies = 2;
-    options.duration = SimTime::zero();  // keep the scenario's 10 s
-    options.baseSeed = 6200;
-    options.verbose = false;
-    options.jobs = jobs;
-    options.topologyCache = cache;
-    options.traceDir = dir;
-    options.jsonlPath = dir + "/results.jsonl";
-    runner::JsonlResultSink sink{options.jsonlPath};
-    return runner::runComparisonSweep(protocols, smallScenario, options, &sink);
-  };
-
-  const std::string dirOff = ::testing::TempDir() + "snap_off";
-  const std::string dirOn1 = ::testing::TempDir() + "snap_on_j1";
-  const std::string dirOn4 = ::testing::TempDir() + "snap_on_j4";
-  const runner::SweepReport off = runSweep(false, 1, dirOff);
-  const runner::SweepReport on1 = runSweep(true, 1, dirOn1);
-  const runner::SweepReport on4 = runSweep(true, 4, dirOn4);
-
-  ASSERT_EQ(off.failures, 0u);
-  ASSERT_EQ(on1.failures, 0u);
-  ASSERT_EQ(on4.failures, 0u);
-
-  // Cache off: every record bypassed the snapshot machinery.
-  EXPECT_EQ(off.snapshotsBuilt, 0u);
-  EXPECT_EQ(off.snapshotsReused, 0u);
-  for (const runner::RunRecord& r : off.records) EXPECT_EQ(r.snapshot, "off");
-
-  // Cache on: exactly one build per topology seed, every sibling reused —
-  // at any job count.
-  for (const runner::SweepReport* r : {&on1, &on4}) {
-    EXPECT_EQ(r->snapshotsBuilt, 2u);
-    EXPECT_EQ(r->snapshotsReused, r->records.size() - 2u);
-    EXPECT_GT(r->setupSeconds, 0.0);
+  // Reference: each plan run standalone, building its own world.
+  const std::string dirRef = ::testing::TempDir() + "snap_ref";
+  options.traceDir = dirRef;
+  const std::vector<runner::RunPlan> plans =
+      runner::buildComparisonPlans(protocols, smallScenario, options);
+  ASSERT_EQ(plans.size(), kTopologies * protocols.size());
+  runner::SweepReport reference;
+  for (const runner::RunPlan& plan : plans) {
+    runner::RunRecord record;
+    record.topologyIndex = plan.topologyIndex;
+    record.protocolIndex = plan.protocolIndex;
+    record.seed = plan.seed;
+    record.protocolName = plan.protocolName;
+    record.tracePath = plan.config.tracePath;
+    record.results = harness::Simulation{plan.config}.run();
+    record.eventsExecuted = record.results.eventsExecuted;
+    record.ok = true;
+    reference.records.push_back(std::move(record));
   }
 
-  expectEquivalentRecords(off, on1);
-  expectEquivalentRecords(off, on4);
-  expectTraceDirsMatch(off, dirOff, dirOn1);
-  expectTraceDirsMatch(off, dirOff, dirOn4);
+  const auto runSweep = [&](std::size_t jobs, const std::string& dir) {
+    harness::BenchOptions o = options;
+    o.jobs = jobs;
+    o.traceDir = dir;
+    o.jsonlPath = dir + "/results.jsonl";
+    runner::JsonlResultSink sink{o.jsonlPath};
+    return runner::runComparisonSweep(protocols, smallScenario, o, &sink);
+  };
+  const std::string dir1 = ::testing::TempDir() + "snap_j1";
+  const std::string dir4 = ::testing::TempDir() + "snap_j4";
+  const runner::SweepReport sweep1 = runSweep(1, dir1);
+  const runner::SweepReport sweep4 = runSweep(4, dir4);
 
-  // The JSONL rows carry the new telemetry fields.
-  const std::string jsonlOn = slurp(dirOn1 + "/results.jsonl");
-  EXPECT_NE(jsonlOn.find("\"setup_seconds\":"), std::string::npos);
-  EXPECT_NE(jsonlOn.find("\"snapshot\":\"built\""), std::string::npos);
-  EXPECT_NE(jsonlOn.find("\"snapshot\":\"reused\""), std::string::npos);
-  const std::string jsonlOff = slurp(dirOff + "/results.jsonl");
-  EXPECT_NE(jsonlOff.find("\"snapshot\":\"off\""), std::string::npos);
+  for (const runner::SweepReport* r : {&sweep1, &sweep4}) {
+    ASSERT_EQ(r->failures, 0u);
+    ASSERT_EQ(r->records.size(), reference.records.size());
+    // One build per topology, every sibling adopts — at any job count.
+    EXPECT_EQ(r->snapshotsBuilt, kTopologies);
+    EXPECT_EQ(r->snapshotsReused, kTopologies * (protocols.size() - 1));
+    EXPECT_GT(r->setupSeconds, 0.0);
+    std::vector<std::size_t> builtPerTopology(kTopologies, 0);
+    for (std::size_t i = 0; i < r->records.size(); ++i) {
+      const runner::RunRecord& record = r->records[i];
+      if (record.snapshot == "built") ++builtPerTopology[record.topologyIndex];
+      EXPECT_EQ(comparableJson(record),
+                comparableJson(reference.records[i]));
+    }
+    for (const std::size_t built : builtPerTopology) EXPECT_EQ(built, 1u);
+  }
+  expectTraceDirsMatch(reference, dirRef, dir1);
+  expectTraceDirsMatch(reference, dirRef, dir4);
 
-  removeSweepOutputs(off, dirOff);
-  removeSweepOutputs(on1, dirOn1);
-  removeSweepOutputs(on4, dirOn4);
+  // The JSONL rows carry the world-sharing telemetry.
+  const std::string jsonl = slurp(dir1 + "/results.jsonl");
+  EXPECT_NE(jsonl.find("\"setup_seconds\":"), std::string::npos);
+  EXPECT_NE(jsonl.find("\"snapshot\":\"built\""), std::string::npos);
+  EXPECT_NE(jsonl.find("\"snapshot\":\"reused\""), std::string::npos);
+
+  removeSweepOutputs(reference, dirRef);
+  removeSweepOutputs(sweep1, dir1);
+  removeSweepOutputs(sweep4, dir4);
 }
 
 TEST(SnapshotSweep, IneligibleScenariosReportOff) {
-  ::unsetenv("MESH_TOPOLOGY_CACHE");
   const auto mobileScenario = [](std::uint64_t seed) {
     harness::ScenarioConfig config = smallScenario(seed);
     config.duration = 6_s;
@@ -466,7 +344,6 @@ TEST(SnapshotSweep, IneligibleScenariosReportOff) {
   options.baseSeed = 6300;
   options.verbose = false;
   options.jobs = 1;
-  options.topologyCache = true;  // enabled, but every scenario is ineligible
   const runner::SweepReport report = runner::runComparisonSweep(
       {harness::ProtocolSpec::with(metrics::MetricKind::Spp)}, mobileScenario,
       options, nullptr);
@@ -475,6 +352,50 @@ TEST(SnapshotSweep, IneligibleScenariosReportOff) {
   EXPECT_EQ(report.snapshotsReused, 0u);
   for (const runner::RunRecord& r : report.records) {
     EXPECT_EQ(r.snapshot, "off");
+  }
+}
+
+TEST(SnapshotSweep, ThrowingBuilderFailsOnlyItsOwnTopology) {
+  // Topology 1's world cannot be built. Every one of its runs must enter
+  // the build in turn (a throw leaves the slot unbuilt), fail on its own,
+  // and never hang its siblings; topology 0 still shares its world.
+  const auto makeScenario = [](std::uint64_t seed) {
+    harness::ScenarioConfig config = smallScenario(seed);
+    config.duration = 6_s;
+    config.traffic.stop = 6_s;
+    if (seed == 6501) {
+      config.linkModelFactory =
+          [](sim::Simulator&, Rng&) -> std::unique_ptr<phy::LinkModel> {
+        throw std::runtime_error{"injected build failure"};
+      };
+    }
+    return config;
+  };
+  harness::BenchOptions options;
+  options.topologies = 2;
+  options.duration = SimTime::zero();
+  options.baseSeed = 6500;
+  options.verbose = false;
+  options.jobs = 4;
+  const std::vector<harness::ProtocolSpec> protocols = {
+      harness::ProtocolSpec::original(),
+      harness::ProtocolSpec::with(metrics::MetricKind::Etx),
+      harness::ProtocolSpec::with(metrics::MetricKind::Spp)};
+  const runner::SweepReport report =
+      runner::runComparisonSweep(protocols, makeScenario, options, nullptr);
+
+  ASSERT_EQ(report.records.size(), 6u);
+  EXPECT_EQ(report.failures, 3u);
+  EXPECT_EQ(report.snapshotsBuilt, 1u);
+  EXPECT_EQ(report.snapshotsReused, 2u);
+  for (const runner::RunRecord& r : report.records) {
+    if (r.topologyIndex == 0) {
+      EXPECT_TRUE(r.ok) << r.error;
+    } else {
+      EXPECT_FALSE(r.ok);
+      EXPECT_NE(r.error.find("injected build failure"), std::string::npos);
+      EXPECT_EQ(r.snapshot, "off");
+    }
   }
 }
 
