@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
         },
         options, sink.get());
 
-    // Fold churn metrics per protocol (the Aggregator's rows cover the
+    // Fold churn metrics per protocol (the sweep report's rows cover the
     // headline metrics only).
     for (std::size_t p = 0; p < protocols.size(); ++p) {
       OnlineStats pdr, inPdr, outPdr, ttr, inflation;

@@ -1,10 +1,9 @@
 #include "mesh/channelplan/domain_scheduler.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 
 #include "mesh/common/assert.hpp"
+#include "mesh/common/parallel_for.hpp"
 
 namespace mesh::channelplan {
 
@@ -27,52 +26,27 @@ void DomainScheduler::addBarrier(SimTime at, std::function<void()> callback) {
   barriers_.insert(pos, std::move(barrier));
 }
 
-std::uint64_t DomainScheduler::runEpoch(SimTime horizon) {
+void DomainScheduler::runEpoch(SimTime horizon) {
   ++epochsRun_;
-  if (workers_ == 1 || domains_.size() == 1) {
-    // Sequential reference order: ascending domain index. The parallel
-    // path below must be indistinguishable from this one.
-    std::uint64_t executed = 0;
-    for (sim::Simulator* domain : domains_) executed += domain->run(horizon);
-    return executed;
-  }
-  // Work-claiming: each worker pops the next unclaimed domain index. The
-  // claim order is nondeterministic, but each domain is driven by exactly
-  // one thread and domains share no state inside an epoch, so the events
-  // each domain executes — and their per-domain order — do not depend on
-  // the claiming. Per-worker event counts fold into one atomic total
-  // (commutative), and the threads join before anything reads domain
-  // state, so the epoch is a clean fork/join.
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::uint64_t> executed{0};
-  const auto worker = [&] {
-    std::uint64_t local = 0;
-    while (true) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= domains_.size()) break;
-      local += domains_[i]->run(horizon);
-    }
-    executed.fetch_add(local, std::memory_order_relaxed);
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(workers_);
-  for (std::size_t w = 0; w < workers_; ++w) threads.emplace_back(worker);
-  for (std::thread& t : threads) t.join();
-  return executed.load(std::memory_order_relaxed);
+  // One worker walks the domains in ascending index: the reference order.
+  // With more, each domain is still driven by exactly one thread and the
+  // domains share no state inside an epoch, so the events each executes —
+  // and their per-domain order — do not depend on which worker claims it.
+  // parallelFor joins before anything reads domain state.
+  parallelFor(domains_.size(), workers_,
+              [this, horizon](std::size_t d) { domains_[d]->run(horizon); });
 }
 
-std::uint64_t DomainScheduler::run(SimTime until) {
-  std::uint64_t executed = 0;
+void DomainScheduler::run(SimTime until) {
   for (const Barrier& barrier : barriers_) {
     if (barrier.at > until) break;
-    executed += runEpoch(barrier.at);
+    runEpoch(barrier.at);
     // All domain clocks now sit exactly at barrier.at (Simulator::run
     // advances the clock to the horizon even when the queue ran dry), so
     // the callback sees a globally consistent instant.
     barrier.callback();
   }
-  executed += runEpoch(until);
-  return executed;
+  runEpoch(until);
 }
 
 }  // namespace mesh::channelplan

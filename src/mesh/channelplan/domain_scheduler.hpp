@@ -15,7 +15,7 @@
 // Epoch boundaries are the registered cross-domain events (channel
 // switches, future gateway hops) plus the final horizon. Inside an epoch
 // every domain advances its own clock with its own queue; with
-// `workers > 1` the domains of one epoch run on a small thread pool.
+// `workers > 1` the domains of one epoch run through mesh::parallelFor.
 // Because domains are independent inside an epoch, the per-domain event
 // sequence — and therefore every RNG draw, trace record, and counter —
 // is identical no matter how many workers run or how the OS schedules
@@ -55,9 +55,9 @@ class DomainScheduler {
   void addBarrier(SimTime at, std::function<void()> callback);
 
   // Drives every domain to `until` (inclusive, like Simulator::run),
-  // pausing at each registered barrier. Returns the total number of
-  // events executed across all domains during this call.
-  std::uint64_t run(SimTime until);
+  // pausing at each registered barrier. Each domain's eventsExecuted()
+  // counts what it ran.
+  void run(SimTime until);
 
   std::size_t workerCount() const { return workers_; }
   std::size_t domainCount() const { return domains_.size(); }
@@ -71,7 +71,7 @@ class DomainScheduler {
   };
 
   // Advances every domain to `horizon`, parallel when workers_ > 1.
-  std::uint64_t runEpoch(SimTime horizon);
+  void runEpoch(SimTime horizon);
 
   std::vector<sim::Simulator*> domains_;
   std::size_t workers_;

@@ -100,6 +100,13 @@ class Parser {
     if (config.groups.empty()) {
       return {std::nullopt, "config error: no [group N] sections"};
     }
+    if (config.duration <= config.traffic.start) {
+      std::ostringstream out;
+      out << "config error: duration_s (" << config.duration.toSeconds()
+          << ") must be greater than start_s ("
+          << config.traffic.start.toSeconds() << ")";
+      return {std::nullopt, out.str()};
+    }
     for (const GroupSpec& g : config.groups) {
       for (const net::NodeId id : g.sources) {
         if (id >= config.nodeCount) {

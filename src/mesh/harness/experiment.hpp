@@ -14,9 +14,10 @@
 //
 // Set MESH_BENCH_FULL=1 to force the paper-scale defaults.
 //
-// The comparison sweep executes on the mesh::runner thread pool — one job
-// per (topology seed, protocol) cell — with deterministic aggregation:
-// results are bit-identical to the serial path for any job count.
+// The comparison sweep runs one (topology seed, protocol) cell per
+// mesh::parallelFor index on `jobs` workers, with deterministic
+// aggregation: results are bit-identical to a serial sweep for any job
+// count.
 // runProtocolComparison() is implemented in src/mesh/runner/sweep.cpp
 // (link mesh::mesh or mesh::runner).
 
@@ -36,7 +37,7 @@ struct BenchOptions {
   bool verbose{true};  // progress lines on stderr
 
   // Worker threads for the sweep: 0 = one per hardware thread,
-  // 1 = legacy serial path (run on the calling thread, no pool).
+  // 1 = serial (every run on the calling thread, in plan order).
   std::size_t jobs{0};
 
   // When non-empty, every completed run appends one JSON record (seed,
@@ -87,9 +88,9 @@ struct ComparisonRow {
 //
 // The factory is always invoked on the calling thread, once per topology
 // seed in topology order, before any simulation starts (its output is
-// copied per protocol cell); only the simulations themselves run on pool
-// workers. A run that throws is reported on stderr and excluded from the
-// aggregates instead of aborting the sweep.
+// copied per protocol cell); only the simulations themselves run on the
+// sweep's workers. A run that throws is reported on stderr and excluded
+// from the aggregates instead of aborting the sweep.
 std::vector<ComparisonRow> runProtocolComparison(
     const std::vector<ProtocolSpec>& protocols,
     const std::function<ScenarioConfig(std::uint64_t topologySeed)>& makeScenario,

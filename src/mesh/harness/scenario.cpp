@@ -261,6 +261,20 @@ std::unique_ptr<phy::LinkModel> Simulation::makeDynamicLinkModel(Rng& rng) {
 }
 
 void Simulation::build() {
+  // An empty traffic window is a scenario error (a clamped bench duration,
+  // a mistyped stop_s), so it throws for the runner to report rather than
+  // tripping CbrSource's invariant.
+  const bool anySource =
+      std::any_of(config_.groups.begin(), config_.groups.end(),
+                  [](const GroupSpec& spec) { return !spec.sources.empty(); });
+  if (anySource && config_.traffic.stop <= config_.traffic.start) {
+    char what[128];
+    std::snprintf(what, sizeof what,
+                  "empty traffic window: stop %gs is not after start %gs",
+                  config_.traffic.stop.toSeconds(),
+                  config_.traffic.start.toSeconds());
+    throw std::invalid_argument(what);
+  }
   // Orthogonal collision domains need static geometry: the plan is decided
   // once from positions, and a custom or mobile link model would move
   // state across domains mid-run.

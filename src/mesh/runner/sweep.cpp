@@ -1,14 +1,15 @@
 #include "mesh/runner/sweep.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <utility>
 
-#include "mesh/runner/aggregator.hpp"
-#include "mesh/runner/thread_pool.hpp"
+#include "mesh/common/parallel_for.hpp"
 
 namespace mesh::runner {
 namespace {
@@ -156,6 +157,34 @@ RunRecord executePlan(const RunPlan& plan, TopologySlot& slot) {
   return record;
 }
 
+// One row per protocol, folded over the records in plan order
+// (topology-major, protocol-minor) — the OnlineStats::add sequence of a
+// serial sweep, so the rows are bit-identical for any job count. Failed
+// runs contribute nothing.
+std::vector<harness::ComparisonRow> foldRows(
+    const std::vector<harness::ProtocolSpec>& protocols,
+    const std::vector<RunRecord>& records) {
+  std::vector<harness::ComparisonRow> rows;
+  rows.reserve(protocols.size());
+  for (const harness::ProtocolSpec& protocol : protocols) {
+    harness::ComparisonRow row;
+    row.protocol = protocol;
+    row.name = protocol.name();
+    rows.push_back(std::move(row));
+  }
+  for (const RunRecord& record : records) {
+    if (!record.ok) continue;
+    const harness::RunResults& r = record.results;
+    harness::ComparisonRow& row = rows[record.protocolIndex];
+    row.pdr.add(r.pdr);
+    row.throughputBps.add(r.throughputBps);
+    row.delayS.add(r.meanDelayS);
+    row.overheadPct.add(r.probeOverheadPct);
+    row.controlBytes.add(static_cast<double>(r.controlBytesReceived));
+  }
+  return rows;
+}
+
 }  // namespace
 
 std::vector<RunPlan> buildComparisonPlans(
@@ -204,45 +233,32 @@ SweepReport runComparisonSweep(
       buildComparisonPlans(protocols, makeScenario, options);
 
   const std::size_t jobs =
-      options.jobs == 0 ? ThreadPool::defaultWorkerCount() : options.jobs;
+      options.jobs == 0
+          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
+          : options.jobs;
 
   // Worlds are shared within a topology's runs, never across topologies
   // or sweeps.
   std::vector<TopologySlot> slots(options.topologies);
   for (const RunPlan& plan : plans) ++slots[plan.topologyIndex].runsLeft;
 
-  Aggregator aggregator{protocols, options.topologies};
   ProgressPrinter progress{options.verbose, plans.size()};
-
-  const auto finishRun = [&](RunRecord record) {
+  SweepReport report;
+  report.records.resize(plans.size());
+  // Run i writes only records[i]; progress and the sink see completion
+  // order, the report sees plan order.
+  parallelFor(plans.size(), jobs, [&](std::size_t i) {
+    RunRecord& record = report.records[i];
+    record = executePlan(plans[i], slots[plans[i].topologyIndex]);
     progress.completed(record);
     if (sink != nullptr) sink->write(record);
-    aggregator.deliver(std::move(record));
-  };
+  });
 
-  if (jobs <= 1) {
-    // Legacy serial path: everything on the calling thread, in plan order.
-    for (const RunPlan& plan : plans) {
-      finishRun(executePlan(plan, slots[plan.topologyIndex]));
-    }
-  } else {
-    ThreadPool pool{jobs};
-    for (const RunPlan& plan : plans) {
-      TopologySlot& slot = slots[plan.topologyIndex];
-      pool.submit([&plan, &finishRun, &slot] {
-        finishRun(executePlan(plan, slot));
-      });
-    }
-    pool.wait();
-  }
-
-  SweepReport report;
-  report.rows = aggregator.rows();
-  report.records = aggregator.records();
-  report.failures = aggregator.failureCount();
+  report.rows = foldRows(protocols, report.records);
   report.wallSeconds = elapsedSeconds(sweepStart);
   report.jobs = jobs;
   for (const RunRecord& record : report.records) {
+    if (!record.ok) ++report.failures;
     report.setupSeconds += record.setupSeconds;
     if (record.snapshot == "built") ++report.snapshotsBuilt;
     if (record.snapshot == "reused") ++report.snapshotsReused;

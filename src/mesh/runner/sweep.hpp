@@ -1,14 +1,14 @@
 #pragma once
-// Parallel comparison sweeps: shard (topology seed, protocol) simulation
-// runs across a work-stealing thread pool while keeping the aggregate
-// ComparisonRows bit-identical to the serial path.
+// Parallel comparison sweeps: run the (topology seed, protocol)
+// simulations of a sweep on `jobs` workers through mesh::parallelFor while
+// keeping the aggregate ComparisonRows bit-identical to a serial sweep.
 //
 // Determinism by construction: every Simulation owns an Rng forked from
 // its run seed, so a run's RunResults depend only on its RunPlan, never on
 // scheduling. The runner's only obligations are (a) building plans — and
-// hence calling the user's scenario factory — serially on the submitting
-// thread, (b) folding results in the serial loop's (topology, protocol)
-// order via the Aggregator, and (c) serializing progress/log output.
+// hence calling the user's scenario factory — serially on the calling
+// thread, (b) giving run i its own record slot and folding the records in
+// plan (topology, protocol) order, and (c) serializing progress/log output.
 //
 // World sharing (DESIGN §14): the runs of one topology share a world.
 // The first of them builds it and freezes a TopologySnapshot; its

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "mesh/harness/config_file.hpp"
 
 namespace mesh::harness {
@@ -139,7 +142,13 @@ INSTANTIATE_TEST_SUITE_P(
                 "unknown group key"},
         BadCase{"[scenario]\nnodes = 5\n", "no [group N] sections"},
         BadCase{"[scenario]\nnodes = 3\n[group 1]\nsources = 0\nmembers = 9\n",
-                "member id out of range"}));
+                "member id out of range"},
+        BadCase{"[scenario]\nduration_s = 20\n[traffic]\nstart_s = 30\n"
+                "[group 1]\nsources = 0\nmembers = 1\n",
+                "duration_s (20) must be greater than start_s (30)"},
+        BadCase{"[scenario]\nduration_s = 30\n[traffic]\nstart_s = 30\n"
+                "[group 1]\nsources = 0\nmembers = 1\n",
+                "duration_s (30) must be greater than start_s (30)"}));
 
 TEST(ConfigFile, ErrorsIncludeLineNumbers) {
   const auto result = parseScenarioConfig("[scenario]\nnodes = 5\nbad line\n");
@@ -175,6 +184,32 @@ members = 3 4
   const RunResults r = sim.run();
   EXPECT_GT(r.packetsSent, 200u);
   EXPECT_GT(r.pdr, 0.3);  // tiny dense area: should mostly deliver
+}
+
+TEST(ConfigFile, StopBeforeStartFailsTheRunWithADiagnostic) {
+  // The file is well-formed; the empty traffic window is a scenario error
+  // the simulation reports when it is built, instead of aborting.
+  const auto result = parseScenarioConfig(R"(
+[scenario]
+nodes = 6
+area = 300x300
+duration_s = 40
+[traffic]
+start_s = 20
+stop_s = 10
+[group 1]
+sources = 0
+members = 3 4
+)");
+  ASSERT_TRUE(result.ok()) << result.error;
+  try {
+    Simulation sim{*result.config};
+    FAIL() << "an empty traffic window must not build";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("stop 10s"), std::string::npos) << what;
+    EXPECT_NE(what.find("start 20s"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
-// Parallel experiment runner: thread pool, deterministic aggregation,
-// result sinks, and per-run failure capture.
+// Parallel experiment runner: the parallelFor fork/join, deterministic
+// aggregation, result sinks, and per-run failure capture.
 //
 // The load-bearing test is ParallelIsBitIdenticalToSerial: jobs=4 must
-// produce byte-for-byte the same ComparisonRow statistics as the legacy
-// serial path, because each Simulation forks its Rng from the run seed and
-// the Aggregator folds in (topology, protocol) order regardless of
+// produce byte-for-byte the same ComparisonRow statistics as a serial
+// sweep, because each Simulation forks its Rng from the run seed and the
+// sweep folds its records in (topology, protocol) plan order regardless of
 // completion order.
 
 #include <gtest/gtest.h>
@@ -15,14 +15,14 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "mesh/common/parallel_for.hpp"
 #include "mesh/harness/experiment.hpp"
 #include "mesh/harness/scenario.hpp"
-#include "mesh/runner/aggregator.hpp"
 #include "mesh/runner/result_sink.hpp"
 #include "mesh/runner/sweep.hpp"
-#include "mesh/runner/thread_pool.hpp"
 
 namespace mesh {
 namespace {
@@ -33,94 +33,33 @@ using harness::ComparisonRow;
 using harness::ProtocolSpec;
 using harness::ScenarioConfig;
 
-// ------------------------------------------------------------ thread pool
+// ------------------------------------------------------------ parallelFor
 
-TEST(ThreadPool, DrainsAllJobsExactlyOnce) {
-  constexpr std::size_t kJobs = 500;
-  std::vector<std::atomic<int>> hits(kJobs);
-  runner::ThreadPool pool{4};
-  EXPECT_EQ(pool.workerCount(), 4u);
-  for (std::size_t i = 0; i < kJobs; ++i) {
-    pool.submit([&hits, i] { hits[i].fetch_add(1); });
-  }
-  pool.wait();
-  for (std::size_t i = 0; i < kJobs; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "job " << i;
-  }
-  EXPECT_EQ(pool.jobsExecuted(), kJobs);
-  EXPECT_EQ(pool.jobsThrown(), 0u);
-}
-
-TEST(ThreadPool, SurvivesThrowingJobsWithoutDeadlock) {
-  std::atomic<int> ran{0};
-  runner::ThreadPool pool{3};
-  for (int i = 0; i < 60; ++i) {
-    if (i % 3 == 0) {
-      pool.submit([] { throw std::runtime_error{"boom"}; });
-    } else {
-      pool.submit([&ran] { ran.fetch_add(1); });
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  for (const std::size_t workers : {1u, 3u, 8u}) {
+    for (const std::size_t count : {0u, 1u, 7u, 500u}) {
+      SCOPED_TRACE("workers " + std::to_string(workers) + ", count " +
+                   std::to_string(count));
+      std::vector<std::atomic<int>> hits(count);
+      parallelFor(count, workers,
+                  [&hits](std::size_t i) { hits[i].fetch_add(1); });
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+      }
     }
   }
-  pool.wait();  // must not hang on the 20 throwing jobs
-  EXPECT_EQ(ran.load(), 40);
-  EXPECT_EQ(pool.jobsExecuted(), 60u);
-  EXPECT_EQ(pool.jobsThrown(), 20u);
 }
 
-TEST(ThreadPool, WaitCanBeCalledRepeatedly) {
-  runner::ThreadPool pool{2};
-  pool.wait();  // nothing submitted yet
-  std::atomic<int> ran{0};
-  pool.submit([&ran] { ran.fetch_add(1); });
-  pool.wait();
-  pool.wait();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-// ------------------------------------------------------------ aggregator
-
-runner::RunRecord recordFor(std::size_t t, std::size_t p, double pdr) {
-  runner::RunRecord record;
-  record.topologyIndex = t;
-  record.protocolIndex = p;
-  record.seed = 1000 + t;
-  record.ok = true;
-  record.results.pdr = pdr;
-  return record;
-}
-
-TEST(Aggregator, FoldsInTopologyMajorOrderRegardlessOfDeliveryOrder) {
-  const std::vector<ProtocolSpec> protocols = {
-      ProtocolSpec::original(), ProtocolSpec::with(metrics::MetricKind::Etx)};
-
-  runner::Aggregator forward{protocols, 3};
-  runner::Aggregator shuffled{protocols, 3};
-  std::vector<runner::RunRecord> records;
-  for (std::size_t t = 0; t < 3; ++t) {
-    for (std::size_t p = 0; p < 2; ++p) {
-      records.push_back(recordFor(t, p, 0.1 * static_cast<double>(3 * t + p)));
-    }
-  }
-  for (const auto& r : records) forward.deliver(r);
-  for (auto it = records.rbegin(); it != records.rend(); ++it) {
-    shuffled.deliver(*it);
-  }
-
-  const auto a = forward.rows();
-  const auto b = shuffled.rows();
-  ASSERT_EQ(a.size(), 2u);
-  for (std::size_t p = 0; p < 2; ++p) {
-    EXPECT_EQ(a[p].pdr.count(), 3u);
-    EXPECT_EQ(a[p].pdr.mean(), b[p].pdr.mean());
-    EXPECT_EQ(a[p].pdr.ci95HalfWidth(), b[p].pdr.ci95HalfWidth());
-  }
-  // records() comes back in deterministic (topology, protocol) order.
-  const auto ordered = shuffled.records();
-  ASSERT_EQ(ordered.size(), 6u);
-  for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(ordered[i].topologyIndex, i / 2);
-    EXPECT_EQ(ordered[i].protocolIndex, i % 2);
-  }
+TEST(ParallelFor, OneWorkerRunsInOrderOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  bool allOnCaller = true;
+  parallelFor(6, 1, [&](std::size_t i) {
+    order.push_back(i);
+    allOnCaller = allOnCaller && std::this_thread::get_id() == caller;
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_TRUE(allOnCaller);
 }
 
 // ------------------------------------------------------------ sweeps
@@ -203,19 +142,45 @@ TEST(Sweep, ThrowingRunIsReportedWithoutAbortingTheSweep) {
     return config;
   };
 
-  const runner::SweepReport report = runner::runComparisonSweep(
-      protocols, makeScenario, smallOptions(4), nullptr);
+  for (const std::size_t jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    const runner::SweepReport report = runner::runComparisonSweep(
+        protocols, makeScenario, smallOptions(jobs), nullptr);
 
-  EXPECT_EQ(report.failures, 1u);
-  ASSERT_EQ(report.records.size(), 3u);
-  EXPECT_TRUE(report.records[0].ok);
-  EXPECT_FALSE(report.records[1].ok);
-  EXPECT_NE(report.records[1].error.find("injected divergence"),
-            std::string::npos);
-  EXPECT_TRUE(report.records[2].ok);
-  // The failed topology is excluded from the aggregates; the rest fold.
-  ASSERT_EQ(report.rows.size(), 1u);
-  EXPECT_EQ(report.rows[0].pdr.count(), 2u);
+    EXPECT_EQ(report.failures, 1u);
+    ASSERT_EQ(report.records.size(), 3u);
+    EXPECT_TRUE(report.records[0].ok);
+    EXPECT_FALSE(report.records[1].ok);
+    EXPECT_NE(report.records[1].error.find("injected divergence"),
+              std::string::npos);
+    EXPECT_TRUE(report.records[2].ok);
+    // The failed topology is excluded from the aggregates; the rest fold.
+    ASSERT_EQ(report.rows.size(), 1u);
+    EXPECT_EQ(report.rows[0].pdr.count(), 2u);
+  }
+}
+
+TEST(Sweep, DurationClampedBelowTrafficStartFailsEveryRunWithoutAborting) {
+  // A bench duration shorter than the scenario's traffic start clamps the
+  // stop below the start: every run must fail with a diagnostic instead of
+  // tripping the CBR source's invariant.
+  const std::vector<ProtocolSpec> protocols = {
+      ProtocolSpec::original(), ProtocolSpec::with(metrics::MetricKind::Spp)};
+  BenchOptions options = smallOptions(2);
+  options.duration = 500_ms;  // traffic starts at 1 s
+  const runner::SweepReport report =
+      runner::runComparisonSweep(protocols, smallScenario, options, nullptr);
+
+  ASSERT_EQ(report.records.size(), 6u);
+  EXPECT_EQ(report.failures, 6u);
+  for (const runner::RunRecord& record : report.records) {
+    EXPECT_FALSE(record.ok);
+    EXPECT_NE(record.error.find("empty traffic window"), std::string::npos)
+        << record.error;
+  }
+  ASSERT_EQ(report.rows.size(), 2u);
+  EXPECT_EQ(report.rows[0].pdr.count(), 0u);
+  EXPECT_EQ(report.rows[1].pdr.count(), 0u);
 }
 
 TEST(Sweep, JsonlSinkReceivesOneRecordPerRun) {
