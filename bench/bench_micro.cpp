@@ -659,8 +659,8 @@ void BM_RadioMediumBusy(benchmark::State& state) {
   phy::PhyParams params;
   phy::Radio radio{simulator, 0, params};
   auto frame = phy::makeFrame(std::vector<std::uint8_t>(64, 0), nullptr);
-  // Park N weak (non-locking) arrivals on the radio; their end events are
-  // scheduled but never run inside the timed loop.
+  // Park N weak (non-locking) arrivals on the radio; their ends lie an
+  // hour ahead, so every query takes sync()'s one-compare early out.
   for (std::int64_t i = 0; i < state.range(0); ++i) {
     radio.beginArrival(frame, static_cast<net::NodeId>(i + 1),
                        params.rxThresholdW * 0.1, SimTime::seconds(std::int64_t{3600}));

@@ -19,6 +19,13 @@
 // resumes without redrawing. Post-transmission backoff is always performed
 // before the next frame; a frame arriving to an idle MAC with the medium
 // idle ≥ DIFS is sent immediately.
+//
+// Carrier sense is pulled, not cached: the MAC reads radio.mediumBusy()
+// and takes "idle since" as max(radio.lastIdleEdge(), NAV end). It
+// subscribes to the radio's busy/idle edges (Radio::setMediumListening)
+// only while contending — the only state in which an edge moves anything
+// (a countdown to freeze or resume) — so an idle MAC costs the radio no
+// edge events.
 
 #include <functional>
 #include <optional>
@@ -156,11 +163,9 @@ class Mac80211 {
   enum class WaitState { None, Cts, Ack };
 
   // --- medium state -------------------------------------------------------
-  bool effectiveBusy() const;
-  void onPhysicalMedium(bool busy);
-  void updateMediumState();   // recompute effective busy; handle edges
-  void onBusyEdge();
-  void onIdleEdge();
+  bool effectiveBusy();  // physical or virtual (NAV) carrier sense
+  SimTime idleSince();   // start of the current effective idle period
+  void onMediumEdge(bool busy);
   void setNav(SimTime until);
 
   // --- channel access -----------------------------------------------------
@@ -214,15 +219,13 @@ class Mac80211 {
   int cw_;
   int backoffSlots_{-1};        // -1: no draw pending
   bool needBackoff_{false};     // post-tx backoff required
-  bool contending_{false};      // countdown armed or waiting for idle
+  bool contending_{false};      // countdown armed or waiting for idle;
+                                // the radio's edge listener while set
   sim::Timer accessTimer_;
   SimTime countdownStart_{SimTime::zero()};  // when the DIFS+slots timer armed
   SimTime countdownDifs_{SimTime::zero()};   // DIFS portion of that timer
 
-  // Medium state.
-  bool physBusy_{false};
-  bool lastEffectiveBusy_{false};
-  SimTime idleSince_{SimTime::zero()};
+  // Virtual carrier sense.
   SimTime navUntil_{SimTime::zero()};
   sim::Timer navTimer_;
 

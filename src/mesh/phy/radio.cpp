@@ -11,13 +11,21 @@ namespace mesh::phy {
 Radio::Radio(sim::Simulator& simulator, net::NodeId node, PhyParams params)
     : simulator_{simulator}, node_{node}, params_{params} {}
 
-bool Radio::mediumBusy() const {
+bool Radio::computeBusy() const {
   if (failed_) return false;  // powered off: senses nothing
   if (isTransmitting() || lockedActive_) return true;
-  return totalInbandPowerW() >= params_.csThresholdW;
+  return inbandPowerW_ >= params_.csThresholdW;
+}
+
+void Radio::setMediumListening(bool listening) {
+  if (listening == listening_) return;
+  sync();  // edges up to now happened unheard
+  listening_ = listening;
+  armCrossing();
 }
 
 void Radio::setFailed(bool failed) {
+  sync();
   if (failed == failed_) return;
   if (failed && lockedActive_) {
     // The reception in progress dies with the radio.
@@ -27,7 +35,7 @@ void Radio::setFailed(bool failed) {
     if (trace_ != nullptr) {
       const auto it = std::find_if(
           arrivals_.begin(), arrivals_.end(),
-          [this](const Arrival& a) { return a.key == lockedKey_; });
+          [this](const Arrival& a) { return a.seq == lockedSeq_; });
       if (it != arrivals_.end()) {
         traceDrop(it->frame, trace::DropReason::FaultNodeDown);
       }
@@ -41,36 +49,186 @@ void Radio::setFailed(bool failed) {
   // here (rather than in the fault injector) keeps the cache correct for
   // every setFailed caller.
   if (channel_ != nullptr) channel_->invalidateRadio(node_);
-  notifyMediumIfChanged();
+  settle();
 }
 
 void Radio::injectNoise(double powerW, SimTime duration) {
   MESH_REQUIRE(powerW > 0.0 && duration > SimTime::zero());
-  const std::uint64_t key = ++nextArrivalKey_;
-  arrivals_.push_back(Arrival{key, nullptr, net::kInvalidNode, powerW,
-                              simulator_.now() + duration});
+  sync();
+  const std::uint64_t seq = simulator_.reserveSeq();
+  const SimTime end = simulator_.now() + duration;
+  arrivals_.push_back(
+      Arrival{seq, nullptr, powerW, end, net::kInvalidNode, /*lazy=*/true});
   inbandPowerW_ += powerW;
+  if (end < lazyEnd_) {  // seqs only grow: an equal end keeps the older one
+    lazyEnd_ = end;
+    lazySeq_ = seq;
+  }
   ++stats_.noiseBursts;
-  simulator_.schedule(duration, [this, key] { endArrival(key); });
   if (lockedActive_) reevaluateLockedSinr();
-  notifyMediumIfChanged();
+  settle();
 }
 
-// Exact re-sum in vector order; called whenever an arrival is removed so
+// Exact re-sum in vector order; called whenever arrivals are removed so
 // the running total never accumulates cancellation error (subtracting the
 // departed term would drift bitwise from the naive left fold).
 void Radio::resumInbandPower() {
   double sum = 0.0;
-  for (const auto& a : arrivals_) sum += a.rxPowerW;
+  SimTime end = SimTime::max();
+  std::uint64_t seq = 0;
+  for (const auto& a : arrivals_) {
+    sum += a.rxPowerW;
+    if (a.lazy && (a.end < end || (a.end == end && a.seq < seq))) {
+      end = a.end;
+      seq = a.seq;
+    }
+  }
   inbandPowerW_ = sum;
+  lazyEnd_ = end;
+  lazySeq_ = seq;
 }
 
-double Radio::interferenceFor(std::uint64_t excludedKey) const {
+double Radio::interferenceFor(std::uint64_t excludedSeq) const {
   double sum = 0.0;
   for (const auto& a : arrivals_) {
-    if (a.key != excludedKey) sum += a.rxPowerW;
+    if (a.seq != excludedSeq) sum += a.rxPowerW;
   }
   return sum;
+}
+
+bool Radio::busyAfter(const Arrival& last) const {
+  if (failed_) return false;
+  if (txUntil_ > last.end || lockedActive_) return true;
+  // The same vector-order fold the end events' re-sums computed.
+  double sum = 0.0;
+  for (const auto& a : arrivals_) {
+    const bool retired =
+        a.lazy && (a.end < last.end || (a.end == last.end && a.seq <= last.seq));
+    if (!retired) sum += a.rxPowerW;
+  }
+  return sum >= params_.csThresholdW;
+}
+
+const Radio::Arrival* Radio::firstIdleEnd(bool dueOnly) {
+  lazyOrder_.clear();
+  for (std::uint32_t i = 0; i < arrivals_.size(); ++i) {
+    const Arrival& a = arrivals_[i];
+    if (a.lazy && (!dueOnly || simulator_.reached(a.end, a.seq))) {
+      lazyOrder_.push_back(i);
+    }
+  }
+  if (lazyOrder_.empty()) return nullptr;
+  std::sort(lazyOrder_.begin(), lazyOrder_.end(),
+            [this](std::uint32_t x, std::uint32_t y) {
+              const Arrival& a = arrivals_[x];
+              const Arrival& b = arrivals_[y];
+              return a.end < b.end || (a.end == b.end && a.seq < b.seq);
+            });
+  // Retiring only lowers the sum, and tx/lock state is fixed between entry
+  // points, so "still busy" holds for a prefix of the key order: one check
+  // of the last end, then a binary search for the first idle one.
+  const auto busy = [this](std::uint32_t i) { return busyAfter(arrivals_[i]); };
+  if (!dueOnly && busy(lazyOrder_.back())) return nullptr;  // (due: known)
+  return &arrivals_[*std::partition_point(lazyOrder_.begin(),
+                                          lazyOrder_.end() - 1, busy)];
+}
+
+void Radio::retireLazyEnds() {
+  // As end events, the due ends would each have erased their arrival,
+  // re-summed and reported a busy→idle edge if the medium went idle. The
+  // survivors' vector-order fold is exactly the last of those re-sums.
+  // Removals only lower the sum, so a batch holds at most one edge, and
+  // only if the medium reads idle once the whole batch is gone: search for
+  // it then.
+  const Arrival* edge = nullptr;
+  if (reportedBusy_) {
+    double sum = 0.0;
+    const Arrival* lastDue = nullptr;
+    std::size_t due = 0;
+    for (const Arrival& a : arrivals_) {
+      if (!a.lazy || !simulator_.reached(a.end, a.seq)) {
+        sum += a.rxPowerW;
+      } else {
+        ++due;
+        if (lastDue == nullptr || a.end > lastDue->end) lastDue = &a;
+      }
+    }
+    const bool idleAfter = !failed_ && txUntil_ <= lastDue->end &&
+                           !lockedActive_ && sum < params_.csThresholdW;
+    if (idleAfter) edge = due == 1 ? lastDue : firstIdleEnd(/*dueOnly=*/true);
+  }
+  const SimTime edgeAt = edge != nullptr ? edge->end : SimTime::zero();
+
+  double sum = 0.0;
+  std::size_t kept = 0;
+  lazyEnd_ = SimTime::max();
+  for (std::size_t i = 0; i < arrivals_.size(); ++i) {
+    Arrival& a = arrivals_[i];
+    if (a.lazy) {
+      if (simulator_.reached(a.end, a.seq)) continue;
+      if (a.end < lazyEnd_ || (a.end == lazyEnd_ && a.seq < lazySeq_)) {
+        lazyEnd_ = a.end;
+        lazySeq_ = a.seq;
+      }
+    }
+    sum += a.rxPowerW;
+    if (kept != i) arrivals_[kept] = std::move(a);
+    ++kept;
+  }
+  arrivals_.erase(arrivals_.begin() + static_cast<std::ptrdiff_t>(kept),
+                  arrivals_.end());
+  inbandPowerW_ = sum;
+  if (edge != nullptr) recordIdleEdge(edgeAt);
+}
+
+void Radio::recordIdleEdge(SimTime at) {
+  busyAccum_ += at - busySince_;
+  lastIdleEdge_ = at;
+  reportedBusy_ = false;
+  if (listening_ && mediumCallback_) {
+    // A listener hears a lazy edge only through its crossing event.
+    MESH_ASSERT(at == simulator_.now());
+    mediumCallback_(false);
+  }
+}
+
+void Radio::settle() {
+  if (computeBusy() != reportedBusy_) {
+    if (reportedBusy_) {
+      recordIdleEdge(simulator_.now());
+    } else {
+      busySince_ = simulator_.now();
+      reportedBusy_ = true;
+      if (listening_ && mediumCallback_) mediumCallback_(true);
+    }
+  }
+  if (listening_) armCrossing();
+}
+
+void Radio::armCrossing() {
+  // While listening and busy on energy alone (a lock or an own
+  // transmission ends at a real event, which re-arms), the next idle edge
+  // is the first lazy end after which the medium reads idle.
+  const Arrival* next = nullptr;
+  if (listening_ && reportedBusy_ && !lockedActive_ && !failed_) {
+    next = firstIdleEnd(/*dueOnly=*/false);
+  }
+  const std::uint64_t seq = next != nullptr ? next->seq : 0;
+  if (seq == crossingSeq_) return;
+  simulator_.cancel(crossingId_);
+  crossingId_ = sim::EventId{};
+  crossingSeq_ = seq;
+  if (next != nullptr) {
+    crossingId_ =
+        simulator_.scheduleReservedAt(next->end, seq, [this] { onCrossing(); });
+  }
+}
+
+void Radio::onCrossing() {
+  crossingId_ = sim::EventId{};
+  crossingSeq_ = 0;
+  sync();  // retires the crossing end itself: it has this event's key
+  settle();
 }
 
 void Radio::traceDrop(const PhyFramePtr& frame, trace::DropReason reason) {
@@ -83,6 +241,7 @@ void Radio::traceDrop(const PhyFramePtr& frame, trace::DropReason reason) {
 void Radio::transmit(const PhyFramePtr& frame, SimTime airtime) {
   MESH_REQUIRE(channel_ != nullptr);
   MESH_REQUIRE(!isTransmitting());
+  sync();
   if (failed_) {
     // Crashed node: the MAC's state machine keeps running, but nothing
     // reaches the air.
@@ -101,7 +260,7 @@ void Radio::transmit(const PhyFramePtr& frame, SimTime airtime) {
     if (trace_ != nullptr) {
       const auto it = std::find_if(
           arrivals_.begin(), arrivals_.end(),
-          [this](const Arrival& a) { return a.key == lockedKey_; });
+          [this](const Arrival& a) { return a.seq == lockedSeq_; });
       if (it != arrivals_.end()) {
         traceDrop(it->frame, trace::DropReason::PhyRadioBusy);
       }
@@ -119,22 +278,24 @@ void Radio::transmit(const PhyFramePtr& frame, SimTime airtime) {
   }
   simulator_.schedule(airtime, [this] { endTransmit(); });
   channel_->transmit(*this, frame, airtime);
-  notifyMediumIfChanged();
+  settle();
 }
 
 void Radio::endTransmit() {
+  sync();
   // txUntil_ reached; medium may have gone idle.
   if (trace_ != nullptr && txFrame_ != nullptr && !isTransmitting()) {
     trace_->txEnd(simulator_.now(), node_, txFrame_->payload.get(),
                   static_cast<std::uint32_t>(txFrame_->sizeBytes()));
   }
   if (!isTransmitting()) txFrame_ = nullptr;
-  notifyMediumIfChanged();
+  settle();
 }
 
 void Radio::beginArrival(const PhyFramePtr& frame, net::NodeId transmitter,
                          double rxPowerW, SimTime airtime,
                          bool perCorrupted) {
+  sync();
   if (failed_) {
     // Powered off: the energy never enters the receive chain (and never
     // counts for carrier sense), so recovery starts from a clean radio.
@@ -142,44 +303,57 @@ void Radio::beginArrival(const PhyFramePtr& frame, net::NodeId transmitter,
     if (trace_ != nullptr) traceDrop(frame, trace::DropReason::FaultNodeDown);
     return;
   }
-  const std::uint64_t key = ++nextArrivalKey_;
-  arrivals_.push_back(Arrival{key, frame, transmitter, rxPowerW,
-                              simulator_.now() + airtime, perCorrupted});
+  // The end's seq is taken here, where an end event would be scheduled.
+  const std::uint64_t seq = simulator_.reserveSeq();
+  const SimTime end = simulator_.now() + airtime;
+  arrivals_.push_back(Arrival{seq, frame, rxPowerW, end, transmitter,
+                              /*lazy=*/true, perCorrupted});
   // Appending extends the left-fold sum by one term: still bit-exact.
   inbandPowerW_ += rxPowerW;
-  simulator_.schedule(airtime, [this, key] { endArrival(key); });
 
   const bool decodable = rxPowerW >= params_.rxThresholdW;
   if (decodable && !isTransmitting() && !lockedActive_) {
-    // Lock onto this frame.
+    // Lock onto this frame; only a locked frame's end is an event.
     lockedActive_ = true;
-    lockedKey_ = key;
+    lockedSeq_ = seq;
     lockedCorrupted_ = false;
+    arrivals_.back().lazy = false;
+    simulator_.scheduleReservedAt(end, seq, [this, seq] { endArrival(seq); });
     reevaluateLockedSinr();
-  } else if (decodable) {
-    // Strong enough to decode, but the radio is occupied.
-    ++stats_.framesMissedBusy;
-    if (trace_ != nullptr) traceDrop(frame, trace::DropReason::PhyRadioBusy);
-    if (lockedActive_) reevaluateLockedSinr();
   } else {
-    ++stats_.framesBelowThreshold;
-    if (trace_ != nullptr) {
-      traceDrop(frame, trace::DropReason::PhyBelowSensitivity);
+    if (end < lazyEnd_) {  // seqs only grow: an equal end keeps the older one
+      lazyEnd_ = end;
+      lazySeq_ = seq;
+    }
+    if (decodable) {
+      // Strong enough to decode, but the radio is occupied.
+      ++stats_.framesMissedBusy;
+      if (trace_ != nullptr) traceDrop(frame, trace::DropReason::PhyRadioBusy);
+    } else {
+      ++stats_.framesBelowThreshold;
+      if (trace_ != nullptr) {
+        traceDrop(frame, trace::DropReason::PhyBelowSensitivity);
+      }
     }
     if (lockedActive_) reevaluateLockedSinr();
   }
-  notifyMediumIfChanged();
+  settle();
 }
 
-void Radio::endArrival(std::uint64_t key) {
+// The end event of a locked arrival (it stays an event even when the lock
+// is lost to a transmission or a failure). A lazy end needs none of this:
+// it never owns the lock, and with corruption latched a shrinking
+// interference sum cannot corrupt the locked frame.
+void Radio::endArrival(std::uint64_t seq) {
+  sync();
   const auto it = std::find_if(arrivals_.begin(), arrivals_.end(),
-                               [key](const Arrival& a) { return a.key == key; });
-  MESH_ASSERT(it != arrivals_.end());
+                               [seq](const Arrival& a) { return a.seq == seq; });
+  MESH_ASSERT(it != arrivals_.end() && !it->lazy);
   const Arrival arrival = std::move(*it);
   arrivals_.erase(it);
   resumInbandPower();
 
-  if (lockedActive_ && lockedKey_ == key) {
+  if (lockedActive_ && lockedSeq_ == seq) {
     lockedActive_ = false;
     if (lockedCorrupted_) {
       ++stats_.framesCorrupted;
@@ -199,7 +373,7 @@ void Radio::endArrival(std::uint64_t key) {
         RxInfo info;
         info.transmitter = arrival.transmitter;
         info.rxPowerW = arrival.rxPowerW;
-        const double denom = params_.noiseFloorW + interferenceFor(key);
+        const double denom = params_.noiseFloorW + interferenceFor(seq);
         info.sinr = arrival.rxPowerW / denom;
         rxCallback_(arrival.frame, info);
       }
@@ -210,33 +384,20 @@ void Radio::endArrival(std::uint64_t key) {
     // corruption is latched, so only re-evaluate for logging symmetry.
     reevaluateLockedSinr();
   }
-  notifyMediumIfChanged();
+  settle();
 }
 
 void Radio::reevaluateLockedSinr() {
   MESH_ASSERT(lockedActive_);
   if (lockedCorrupted_) return;
   const auto it = std::find_if(arrivals_.begin(), arrivals_.end(),
-                               [this](const Arrival& a) { return a.key == lockedKey_; });
+                               [this](const Arrival& a) { return a.seq == lockedSeq_; });
   MESH_ASSERT(it != arrivals_.end());
   const double sinr =
-      it->rxPowerW / (params_.noiseFloorW + interferenceFor(lockedKey_));
+      it->rxPowerW / (params_.noiseFloorW + interferenceFor(lockedSeq_));
   if (sinr < params_.sinrCaptureThreshold) {
     lockedCorrupted_ = true;
     MESH_TRACE("phy", "node %u: locked frame corrupted (sinr=%.2f)", node_, sinr);
-  }
-}
-
-void Radio::notifyMediumIfChanged() {
-  const bool busy = mediumBusy();
-  if (busy != lastReportedBusy_) {
-    if (busy) {
-      busySince_ = simulator_.now();
-    } else {
-      busyAccum_ += simulator_.now() - busySince_;
-    }
-    lastReportedBusy_ = busy;
-    if (mediumCallback_) mediumCallback_(busy);
   }
 }
 

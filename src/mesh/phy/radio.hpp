@@ -15,8 +15,26 @@
 //  * A frame arriving while the radio is transmitting is never decoded
 //    (half-duplex) but its energy still counts for carrier sense.
 //
-// The MAC observes the medium through mediumBusy() plus a busy/idle edge
-// callback, and receives successfully decoded frames via the rx callback.
+// The MAC observes the medium through mediumBusy() and lastIdleEdge()
+// plus a busy/idle edge callback, and receives successfully decoded frames
+// via the rx callback.
+//
+// Arrival ends are mostly not events. beginArrival reserves the end's seq
+// (Simulator::reserveSeq), so the end keeps the (time, seq) key an end
+// event scheduled there would have; only the locked frame's end is pushed
+// with it. Every other end stays in arrivals_ and sync() retires it once
+// the executing event is past that key, with the effects an end event
+// would have had: the power sum is re-summed in vector order and a
+// busy→idle edge is recorded at the end's own instant (busyTime(),
+// lastIdleEdge()). Every entry point and query calls sync() first; it is
+// O(1) while no lazy end is due.
+//
+// Busy/idle edge callback: delivered only while a listener subscribes
+// (setMediumListening(true)), at the edge's exact (time, seq). Busy edges
+// happen at entry points. For idle edges the radio keeps, while someone
+// listens, one crossing event armed at the reserved key of the lazy end
+// whose retirement first drops the medium below carrier sense, re-armed
+// whenever that key changes. Edges while nobody listens are only recorded.
 
 #include <cstdint>
 #include <functional>
@@ -73,7 +91,10 @@ class Radio {
   const PhyParams& params() const { return params_; }
 
   void setReceiveCallback(RxCallback cb) { rxCallback_ = std::move(cb); }
+  // Busy/idle edge callback (see file comment): called only while
+  // listening.
   void setMediumCallback(MediumCallback cb) { mediumCallback_ = std::move(cb); }
+  void setMediumListening(bool listening);
 
   // --- MAC-facing ---------------------------------------------------------
 
@@ -103,8 +124,18 @@ class Radio {
   // fault subsystem's interference bursts.
   void injectNoise(double powerW, SimTime duration);
   // Carrier sense: physically busy (tx/rx) or total in-band energy above
-  // the CS threshold. (NAV-based virtual carrier sense lives in the MAC.)
-  bool mediumBusy() const;
+  // the CS threshold, as of the last reported edge — inside a callback the
+  // radio is making, the edge it is about to report is not visible yet.
+  // (NAV-based virtual carrier sense lives in the MAC.)
+  bool mediumBusy() {
+    sync();
+    return reportedBusy_;
+  }
+  // When the medium last went from busy to idle (zero if never).
+  SimTime lastIdleEdge() {
+    sync();
+    return lastIdleEdge_;
+  }
 
   const RadioStats& stats() const { return stats_; }
 
@@ -115,9 +146,10 @@ class Radio {
 
   // Cumulative time the medium has read busy at this radio (tx, rx-locked,
   // or energy above carrier sense). Drives the adaptive probing controller.
-  SimTime busyTime() const {
+  SimTime busyTime() {
+    sync();
     SimTime total = busyAccum_;
-    if (lastReportedBusy_) total += simulator_.now() - busySince_;
+    if (reportedBusy_) total += simulator_.now() - busySince_;
     return total;
   }
 
@@ -133,7 +165,7 @@ class Radio {
   std::size_t channelIndex() const { return channelIndex_; }
 
   // Called by the channel at the instant the first energy of a frame
-  // reaches this radio. The radio schedules the end of the arrival itself.
+  // reaches this radio. The radio ends the arrival itself (file comment).
   // `perCorrupted` marks a frame the channel's per-rate error model already
   // killed: its energy behaves normally (carrier sense, interference, it
   // still locks the receiver) but the decode fails at the end.
@@ -142,27 +174,49 @@ class Radio {
                     bool perCorrupted = false);
 
  private:
-  // `frame` is null for injected noise bursts, which carry energy but can
-  // never be locked onto or decoded.
+  // Identified by its end's reserved seq. `frame` is null for injected
+  // noise bursts, which carry energy but can never be locked onto or
+  // decoded.
   struct Arrival {
-    std::uint64_t key;
+    std::uint64_t seq;
     PhyFramePtr frame;
-    net::NodeId transmitter;
     double rxPowerW;
     SimTime end;
+    net::NodeId transmitter;
+    bool lazy;  // no end event: retired by sync()
     bool perCorrupted{false};
   };
 
-  void endArrival(std::uint64_t key);
+  // Retires every lazy end the executing event has passed. Inline early
+  // out: one compare against the earliest lazy end.
+  void sync() {
+    if (simulator_.reached(lazyEnd_, lazySeq_)) retireLazyEnds();
+  }
+  void retireLazyEnds();
+  // After retiring the lazy ends with key <= `last` (in key order): would
+  // the medium read busy at that end's instant?
+  bool busyAfter(const Arrival& last) const;
+  // Sorts the lazy ends (only the due ones if `dueOnly`, whose caller
+  // knows they end idle) by key into lazyOrder_ and returns the first
+  // whose retirement leaves the medium idle, or null when none does.
+  const Arrival* firstIdleEnd(bool dueOnly);
+  void recordIdleEdge(SimTime at);
+
+  void endArrival(std::uint64_t seq);
   void endTransmit();
+  void onCrossing();
   void traceDrop(const PhyFramePtr& frame, trace::DropReason reason);
 
-  double interferenceFor(std::uint64_t excludedKey) const;
-  // O(1): the maintained running sum (see inbandPowerW_ below).
-  double totalInbandPowerW() const { return inbandPowerW_; }
+  double interferenceFor(std::uint64_t excludedSeq) const;
+  // Exact re-sum of inbandPowerW_ in vector order; also refreshes the
+  // earliest lazy end.
   void resumInbandPower();
   void reevaluateLockedSinr();
-  void notifyMediumIfChanged();
+  bool computeBusy() const;
+  // Ends every entry point: reports an edge at now, then re-arms the
+  // crossing event while listening.
+  void settle();
+  void armCrossing();
 
   sim::Simulator& simulator_;
   net::NodeId node_;
@@ -174,7 +228,6 @@ class Radio {
   MediumCallback mediumCallback_;
 
   std::vector<Arrival> arrivals_;
-  std::uint64_t nextArrivalKey_{0};
 
   // Running total of arriving signal power, kept exactly equal (bitwise)
   // to a fresh left-to-right sum over arrivals_: appends accumulate
@@ -184,7 +237,7 @@ class Radio {
   double inbandPowerW_{0.0};
 
   bool lockedActive_{false};
-  std::uint64_t lockedKey_{0};
+  std::uint64_t lockedSeq_{0};
   bool lockedCorrupted_{false};
   bool failed_{false};  // fault injection: radio powered off
 
@@ -193,10 +246,22 @@ class Radio {
 
   trace::TraceCollector* trace_{nullptr};
 
-  bool lastReportedBusy_{false};
+  bool reportedBusy_{false};
   SimTime busySince_{SimTime::zero()};
   SimTime busyAccum_{SimTime::zero()};
   RadioStats stats_;
+
+  // Lazy-end and listener state, placed last: building a 5000-node world
+  // reads node_, params_ and failed_ of every candidate receiver, and
+  // measured slower with these fields ahead of them.
+  // Earliest lazy end key; SimTime::max() when there is none.
+  SimTime lazyEnd_{SimTime::max()};
+  std::uint64_t lazySeq_{0};
+  std::vector<std::uint32_t> lazyOrder_;  // scratch for firstIdleEnd
+  SimTime lastIdleEdge_{SimTime::zero()};
+  bool listening_{false};
+  sim::EventId crossingId_;
+  std::uint64_t crossingSeq_{0};  // armed end's seq (unique); 0: disarmed
 };
 
 }  // namespace mesh::phy

@@ -64,16 +64,36 @@ class EventQueue {
   // relocation of the capture).
   template <typename F>
   EventId push(SimTime time, F&& cb) {
+    return pushReserved(time, reserveSeq(), std::forward<F>(cb));
+  }
+
+  // Takes the next `count` insertion seqs without pushing anything and
+  // returns the first. A reservation advances the counter exactly as
+  // `count` pushes would, so an event later pushed with a reserved seq
+  // (pushReserved) — or replayed outside the heap at it — keeps the
+  // (time, seq) place it would have had if pushed at reservation time.
+  std::uint64_t reserveSeqs(std::uint64_t count) {
+    // The 40-bit seq wraps after 10¹² pushes — far beyond any run.
+    MESH_ASSERT(nextSeq_ + count < (std::uint64_t{1} << kSeqBits));
+    const std::uint64_t first = nextSeq_ + 1;
+    nextSeq_ += count;
+    return first;
+  }
+  std::uint64_t reserveSeq() { return reserveSeqs(1); }
+
+  // Pushes with a seq taken earlier by reserveSeq(s). Each reserved seq
+  // may be live in the heap at most once at a time (a cancelled push may
+  // be re-pushed with the same seq).
+  template <typename F>
+  EventId pushReserved(SimTime time, std::uint64_t seq, F&& cb) {
+    MESH_ASSERT(seq != 0 && seq <= nextSeq_);
     const std::uint32_t slotIndex = acquireSlot();
     Slot& slot = slotAt(slotIndex);
     slot.callback = std::forward<F>(cb);
     MESH_ASSERT(static_cast<bool>(slot.callback));
     slot.state = SlotState::Pending;
-    // The 24-bit slot field caps concurrently-pending events at 16.7M and
-    // the 40-bit seq wraps after 10¹² pushes — both far beyond any run.
-    MESH_ASSERT(nextSeq_ < (std::uint64_t{1} << kSeqBits) - 1);
-    heap_.push_back(
-        HeapNode{time, (++nextSeq_ << kSlotBits) | slotIndex});
+    // The 24-bit slot field caps concurrently-pending events at 16.7M.
+    heap_.push_back(HeapNode{time, (seq << kSlotBits) | slotIndex});
     siftUp(heap_.size() - 1);
     ++live_;
     return EventId{(static_cast<std::uint64_t>(slot.generation) << 32) |
@@ -104,6 +124,15 @@ class EventQueue {
   bool empty() const { return live_ == 0; }
   std::size_t size() const { return live_; }
 
+  // True when a pending event orders strictly before (time, seq).
+  bool precedes(SimTime time, std::uint64_t seq) {
+    dropCancelledHead();
+    if (heap_.empty()) return false;
+    const HeapNode& top = heap_.front();
+    return top.time < time ||
+           (top.time == time && (top.order >> kSlotBits) < seq);
+  }
+
   // Earliest pending (non-cancelled) event time. Queue must not be empty.
   SimTime nextTime() {
     dropCancelledHead();
@@ -132,11 +161,11 @@ class EventQueue {
 
   // The run loop's fused nextTime()+pop()+invoke: one cancelled-head sweep
   // per event, and the callback runs in place in its slot — no relocation
-  // of the capture. `pre(time)` fires after the pop bookkeeping and before
-  // the callback, so the caller can advance its clock. The slot returns to
-  // the free list only after the callback finishes (a push from inside it
-  // cannot reuse the storage), but its generation is bumped before, so a
-  // self-cancel during execution is a detectable no-op. Returns false —
+  // of the capture. `pre(time, seq)` fires after the pop bookkeeping and
+  // before the callback, so the caller can advance its clock. The slot
+  // returns to the free list only after the callback finishes (a push from
+  // inside it cannot reuse the storage), but its generation is bumped
+  // before, so a self-cancel during execution is a detectable no-op. Returns false —
   // running nothing — when the earliest pending event is after `until`.
   // Queue must not be empty.
   template <typename PreFn>
@@ -152,7 +181,7 @@ class EventQueue {
     popHeapRoot();
     MESH_ASSERT(live_ > 0);
     --live_;
-    pre(top.time);
+    pre(top.time, top.order >> kSlotBits);
     slot.callback();
     slot.callback.reset();
     slot.nextFree = freeHead_;

@@ -4,9 +4,9 @@
 // The event queue runs tens of millions of callbacks per simulation; with
 // std::function every scheduled event whose capture exceeds libstdc++'s
 // 16-byte inline buffer costs a heap round trip on the hottest path in the
-// system. SmallCallback stores captures of up to kInlineBytes (48 — sized
-// for the channel's delivery lambda, the largest hot-path capture) inline
-// in the event slab; only oversized or throwing-move captures fall back to
+// system. SmallCallback stores captures of up to kInlineBytes (48 — room
+// for the MAC's Frame-carrying response timers, the largest hot-path
+// capture) inline in the event slab; only oversized or throwing-move captures fall back to
 // a single heap allocation. Unlike std::function it also accepts move-only
 // captures (e.g. a unique_ptr riding along in a deferred action).
 

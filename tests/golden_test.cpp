@@ -1,5 +1,5 @@
 // Golden digests: four traced runs whose trace bytes, event counts and
-// delivery counts are pinned to fixed values (DESIGN §8, "golden v1").
+// delivery counts are pinned to fixed values (DESIGN §8.6, "golden v2").
 //
 // Each run covers one kind of world the Simulation builds:
 //  * the 50-node Section 4.1 cell with SPP (static geometry, grid index);
@@ -82,7 +82,16 @@ harness::ScenarioConfig paperCell(std::uint64_t seed, std::int64_t seconds,
 
 TEST(Golden, PaperCellSpp25s) {
   expectGolden(paperCell(12345, 25, 5), "paper_cell",
-               {5690449374715974744ull, 1405935u, 6513u});
+               {5690449374715974744ull, 843874u, 6513u});
+}
+
+// The same run untraced: tracing must move neither the event count nor the
+// deliveries.
+TEST(Golden, PaperCellSpp25sUntraced) {
+  harness::Simulation sim{paperCell(12345, 25, 5)};
+  const harness::RunResults results = sim.run();
+  EXPECT_EQ(results.eventsExecuted, 843874u);
+  EXPECT_EQ(results.packetsDelivered, 6513u);
 }
 
 TEST(Golden, Testbed60s) {
@@ -105,7 +114,7 @@ TEST(Golden, Testbed60s) {
   }
   config.protocol = harness::ProtocolSpec::with(metrics::MetricKind::Spp);
   expectGolden(std::move(config), "testbed",
-               {3926081001533201191ull, 89424u, 3441u});
+               {3926081001533201191ull, 84006u, 3441u});
 }
 
 TEST(Golden, Mobility30s) {
@@ -113,7 +122,7 @@ TEST(Golden, Mobility30s) {
   config.mobilityMaxSpeedMps = 10.0;
   config.protocol = harness::ProtocolSpec::with(metrics::MetricKind::Etx);
   expectGolden(std::move(config), "mobility",
-               {16262790198316793880ull, 1711771u, 8479u});
+               {16262790198316793880ull, 1087052u, 8479u});
 }
 
 TEST(Golden, PaperCellChurn60s) {
@@ -125,7 +134,7 @@ TEST(Golden, PaperCellChurn60s) {
   churn.warmup = 15_s;
   config.churn = churn;
   const harness::RunResults results = expectGolden(
-      std::move(config), "churn", {65130985040731197ull, 4124322u, 14195u});
+      std::move(config), "churn", {65130985040731197ull, 2483567u, 14195u});
   EXPECT_GT(results.faultsApplied, 0u);
 }
 

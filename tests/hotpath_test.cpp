@@ -155,8 +155,8 @@ TEST(HotPath, PopSequenceWithCancellationsKeepsContract) {
 TEST(HotPath, SteadyStatePushPopAllocatesNothing) {
   sim::EventQueue q;
   Rng rng{44};
-  // A 48-byte capture: the size of the channel's delivery lambda, the
-  // largest capture on the simulator's hot path.
+  // A 48-byte capture: the inline limit, which the largest hot-path
+  // capture (a MAC response timer) must fit.
   struct Payload {
     std::array<unsigned char, 40> bytes;
     double* sink;

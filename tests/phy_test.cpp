@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "mesh/common/rng.hpp"
 #include "mesh/common/stats.hpp"
@@ -214,14 +217,90 @@ TEST(Radio, NoDeliveryBeyondReceptionRange) {
 
 TEST(Radio, CarrierSenseWithoutDelivery) {
   // At 400 m (between 250 m RX and 550 m CS range) the medium must read
-  // busy during the frame even though nothing is decodable.
+  // busy during the frame even though nothing is decodable. Edges reach a
+  // listening subscriber only, and the idle edge lands at the arrival's
+  // end — which is not an event unless someone listens, so the run goes
+  // to a horizon rather than draining.
   Rig rig{{{0, 0}, {400, 0}}};
-  bool sensedBusy = false;
-  rig.radios[1]->setMediumCallback([&](bool busy) { sensedBusy |= busy; });
+  std::vector<std::pair<bool, SimTime>> edges;
+  rig.radios[1]->setMediumCallback(
+      [&](bool busy) { edges.emplace_back(busy, rig.simulator.now()); });
+  rig.radios[1]->setMediumListening(true);
   rig.radios[0]->transmit(rig.frame(), rig.airtime());
-  rig.simulator.run();
-  EXPECT_TRUE(sensedBusy);
+  rig.simulator.run(1_s);
+  ASSERT_EQ(edges.size(), 2u);
+  EXPECT_TRUE(edges[0].first);
+  EXPECT_FALSE(edges[1].first);
+  const SimTime end = edges[0].second + rig.airtime();
+  EXPECT_EQ(edges[1].second, end);
   EXPECT_FALSE(rig.radios[1]->mediumBusy());  // back to idle afterwards
+  EXPECT_EQ(rig.radios[1]->lastIdleEdge(), end);
+}
+
+// Arrivals handed straight to one radio: `fraction` of the carrier-sense
+// threshold, far below the lock threshold, starting at `at`.
+void weakArrivalAt(sim::Simulator& simulator, Radio& radio, SimTime at,
+                   double fraction, SimTime airtime) {
+  simulator.schedule(at, [&radio, fraction, airtime] {
+    const double powerW = radio.params().csThresholdW * fraction;
+    ASSERT_LT(powerW, radio.params().rxThresholdW);
+    radio.beginArrival(makeFrame(std::vector<std::uint8_t>(20, 0), nullptr),
+                       7, powerW, airtime);
+  });
+}
+
+TEST(Radio, LazyEndsKeepBusyTimeAndIdleEdge) {
+  // Two 0.6×CS arrivals overlap on [1, 2) ms — busy only together — and a
+  // 2×CS one covers [5, 6) ms. Nobody listens, so no end is an event, yet
+  // busy time and the last idle edge come out exactly at the ends.
+  sim::Simulator simulator;
+  Radio radio{simulator, 0, PhyParams{}};
+  weakArrivalAt(simulator, radio, 0_ms, 0.6, 2_ms);
+  weakArrivalAt(simulator, radio, 1_ms, 0.6, 2_ms);
+  weakArrivalAt(simulator, radio, 5_ms, 2.0, 1_ms);
+  simulator.run(4_ms);
+  EXPECT_EQ(radio.busyTime(), 1_ms);
+  EXPECT_EQ(radio.lastIdleEdge(), 2_ms);
+  EXPECT_FALSE(radio.mediumBusy());
+  simulator.run(10_ms);
+  EXPECT_EQ(radio.busyTime(), 2_ms);
+  EXPECT_EQ(radio.lastIdleEdge(), 6_ms);
+  EXPECT_EQ(simulator.eventsExecuted(), 3u);  // the three begins only
+}
+
+TEST(Radio, ListeningMacGetsIdleEdgeAtExactEnd) {
+  // The idle edge is the first arrival's end. That end's seq was taken
+  // when the arrival began, so the edge fires after an event scheduled
+  // for the same instant before the begin, and before one scheduled
+  // after it — exactly where the end event used to run.
+  sim::Simulator simulator;
+  Radio radio{simulator, 0, PhyParams{}};
+  std::vector<std::string> log;
+  const auto note = [&](const std::string& what) {
+    log.push_back(what + "@" + std::to_string(simulator.now().ns()));
+  };
+  radio.setMediumCallback([&](bool busy) { note(busy ? "busy" : "idle"); });
+  radio.setMediumListening(true);
+  simulator.schedule(2_ms, [&] { note("before"); });
+  weakArrivalAt(simulator, radio, 0_ms, 0.6, 2_ms);
+  weakArrivalAt(simulator, radio, 1_ms, 0.6, 2_ms);
+  simulator.schedule(1500_us, [&] {
+    simulator.schedule(500_us, [&] { note("after"); });
+  });
+  simulator.run(10_ms);
+  const std::vector<std::string> want{"busy@1000000", "before@2000000",
+                                      "idle@2000000", "after@2000000"};
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(radio.lastIdleEdge(), 2_ms);
+  EXPECT_EQ(radio.busyTime(), 1_ms);
+
+  // Unsubscribed, the next busy period passes unheard but is recorded.
+  radio.setMediumListening(false);
+  weakArrivalAt(simulator, radio, 0_ms, 2.0, 1_ms);
+  simulator.run(20_ms);
+  EXPECT_EQ(log.size(), want.size());
+  EXPECT_EQ(radio.lastIdleEdge(), 11_ms);
+  EXPECT_EQ(radio.busyTime(), 2_ms);
 }
 
 TEST(Radio, OutOfSensingRangeIsSilent) {
