@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -350,6 +351,67 @@ TEST(MacContention, ImmediateAccessWhenIdle) {
   const SimTime airtime = phy::PhyParams{}.frameAirtime(dataFrameBytes(512));
   // Sent immediately at 1 s (medium idle >= DIFS since t=0).
   EXPECT_EQ(deliveredAt, 1_s + airtime);
+}
+
+TEST(MacContention, IdleEdgeOnNavExpiryResumesTheCountdownOnce) {
+  // Node 2 overhears 0's RTS to 1 (NAV until the exchange's end, T) and
+  // carries sub-threshold noise ending exactly at T, injected before the
+  // RTS set the NAV. At T the radio's idle edge runs ahead of the NAV
+  // timer and resumes 2's countdown; the NAV timer must then leave it
+  // alone. Re-arming it would keep the access instant but take a later
+  // seq, so the access would run after an event pushed in between.
+  const SimTime rtsAt = 1_ms;
+  const auto exchange = [&](MacRig& rig) {
+    rig.connect(0, 1);
+    rig.connect(0, 2);
+    rig.simulator.scheduleAt(rtsAt, [&rig] {
+      rig.macs[0]->send(makePayload(512), 1);
+    });
+  };
+  SimTime navEnd = SimTime::zero();
+  {
+    MacRig rig{3};
+    exchange(rig);
+    rig.simulator.scheduleAt(rtsAt + 500_us, [&] {
+      navEnd = rig.macs[2]->navUntil();
+    });
+    rig.simulator.run();
+  }
+  ASSERT_GT(navEnd, rtsAt + 500_us);
+
+  MacRig rig{3};
+  exchange(rig);
+  std::vector<std::pair<SimTime, bool>> probes;  // (instant, 2 transmitting)
+  rig.simulator.scheduleAt(rtsAt + 100_us, [&] {
+    rig.radios[2]->injectNoise(1e-10, navEnd - rig.simulator.now());
+    // Runs at T after the idle edge (older seq) and before the NAV timer.
+    rig.simulator.scheduleAt(navEnd, [&] {
+      const MacParams params;
+      for (int slot = 0; slot <= params.cwMin; ++slot) {
+        rig.simulator.schedule(params.difs + params.slotTime * slot, [&] {
+          probes.emplace_back(rig.simulator.now(),
+                              rig.radios[2]->isTransmitting());
+        });
+      }
+    });
+  });
+  rig.simulator.scheduleAt(rtsAt + 400_us, [&] {
+    rig.macs[2]->send(makePayload(100), net::kBroadcastNode);
+  });
+  SimTime heardAt = SimTime::zero();
+  rig.macs[0]->setReceiveCallback([&](const net::PacketPtr&, net::NodeId from) {
+    if (from == 2) heardAt = rig.simulator.now();
+  });
+  rig.simulator.run();
+
+  ASSERT_GT(heardAt, navEnd);
+  const SimTime txStart =
+      heardAt - phy::PhyParams{}.frameAirtime(dataFrameBytes(100));
+  const auto probe = std::find_if(
+      probes.begin(), probes.end(),
+      [&](const std::pair<SimTime, bool>& p) { return p.first == txStart; });
+  ASSERT_NE(probe, probes.end());
+  EXPECT_TRUE(probe->second);  // the access ran ahead of the probe
 }
 
 TEST(MacTiming, BroadcastAirtimeMatchesDsssFormula) {
