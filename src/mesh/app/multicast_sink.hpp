@@ -48,12 +48,6 @@ class MulticastSink {
   std::uint64_t packetsReceived() const { return packetsReceived_; }
   std::uint64_t payloadBytesReceived() const { return payloadBytesReceived_; }
 
-  // Counter slots for CounterRegistry registration (stable for the sink's
-  // lifetime).
-  const std::uint64_t* packetsReceivedSlot() const { return &packetsReceived_; }
-  const std::uint64_t* payloadBytesReceivedSlot() const {
-    return &payloadBytesReceived_;
-  }
   const OnlineStats& delayStats() const { return delayS_; }
 
  private:

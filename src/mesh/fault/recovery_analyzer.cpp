@@ -1,5 +1,7 @@
 #include "mesh/fault/recovery_analyzer.hpp"
 
+#include <utility>
+
 #include "mesh/common/assert.hpp"
 
 namespace mesh::fault {
@@ -10,28 +12,19 @@ constexpr SimTime kRepairPollInterval = SimTime::milliseconds(100);
 // than skewing the mean with an arbitrarily large tail.
 constexpr SimTime kRepairCap = SimTime::seconds(std::int64_t{30});
 
-constexpr const char* kOriginated = "route.data_originated";
-constexpr const char* kDelivered = "app.packets_delivered";
-constexpr const char* kControlBytes = "route.control_bytes_sent";
-
 }  // namespace
 
-RecoveryAnalyzer::RecoveryAnalyzer(sim::Simulator& simulator,
-                                   const trace::CounterRegistry& counters,
+RecoveryAnalyzer::RecoveryAnalyzer(sim::Simulator& simulator, CountsFn counts,
                                    const FaultSchedule& schedule,
                                    SimTime horizon, double fanout)
     : simulator_{simulator},
-      counters_{counters},
+      counts_{std::move(counts)},
       schedule_{schedule},
       horizon_{horizon},
       fanout_{fanout} {
+  MESH_REQUIRE(counts_ != nullptr);
   MESH_REQUIRE(horizon_ > SimTime::zero());
   MESH_REQUIRE(fanout_ >= 0.0);
-}
-
-RecoveryAnalyzer::Snapshot RecoveryAnalyzer::take() const {
-  return Snapshot{counters_.value(kOriginated), counters_.value(kDelivered),
-                  counters_.value(kControlBytes)};
 }
 
 void RecoveryAnalyzer::arm() {
@@ -44,9 +37,9 @@ void RecoveryAnalyzer::arm() {
   windowEnds_.resize(windows_.size());
   for (std::size_t i = 0; i < windows_.size(); ++i) {
     simulator_.scheduleAt(windows_[i].first,
-                          [this, i] { windowStarts_[i] = take(); });
+                          [this, i] { windowStarts_[i] = counts_(); });
     simulator_.scheduleAt(windows_[i].second,
-                          [this, i] { windowEnds_[i] = take(); });
+                          [this, i] { windowEnds_[i] = counts_(); });
   }
 
   for (const FaultEvent& event : schedule_.events()) {
@@ -62,14 +55,14 @@ void RecoveryAnalyzer::arm() {
 void RecoveryAnalyzer::beginRepairProbe(std::size_t index) {
   RepairProbe& probe = probes_[index];
   probe.crashAt = simulator_.now();
-  probe.baseDelivered = counters_.value(kDelivered);
+  probe.baseDelivered = counts_().delivered;
   simulator_.schedule(kRepairPollInterval, [this, index] { pollRepair(index); });
 }
 
 void RecoveryAnalyzer::pollRepair(std::size_t index) {
   RepairProbe& probe = probes_[index];
   if (probe.resolved) return;
-  if (counters_.value(kDelivered) > probe.baseDelivered) {
+  if (counts_().delivered > probe.baseDelivered) {
     probe.resolved = true;
     probe.repairedAt = simulator_.now();
     return;
@@ -95,7 +88,7 @@ RecoveryReport RecoveryAnalyzer::report() const {
   report.faultWindowS = window.toSeconds();
   if (!armed_ || windows_.empty()) {
     // Fault-free run (or never armed): everything is "outside".
-    const Snapshot total = take();
+    const Counts total = counts_();
     const double expected = static_cast<double>(total.originated) * fanout_;
     report.outWindowPdr =
         expected > 0.0 ? static_cast<double>(total.delivered) / expected : 0.0;
@@ -105,17 +98,17 @@ RecoveryReport RecoveryAnalyzer::report() const {
     return report;
   }
 
-  Snapshot in;  // deltas summed across all merged windows
+  Counts in;  // deltas summed across all merged windows
   for (std::size_t i = 0; i < windows_.size(); ++i) {
     in.originated += windowEnds_[i].originated - windowStarts_[i].originated;
     in.delivered += windowEnds_[i].delivered - windowStarts_[i].delivered;
     in.controlBytes +=
         windowEnds_[i].controlBytes - windowStarts_[i].controlBytes;
   }
-  const Snapshot total = take();
-  const Snapshot out{total.originated - in.originated,
-                     total.delivered - in.delivered,
-                     total.controlBytes - in.controlBytes};
+  const Counts total = counts_();
+  const Counts out{total.originated - in.originated,
+                   total.delivered - in.delivered,
+                   total.controlBytes - in.controlBytes};
 
   const double inExpected = static_cast<double>(in.originated) * fanout_;
   const double outExpected = static_cast<double>(out.originated) * fanout_;

@@ -1,7 +1,7 @@
 #pragma once
 // RecoveryAnalyzer: per-run churn metrics from counter snapshots.
 //
-// The analyzer never touches protocol state. It schedules counter-registry
+// The analyzer never touches protocol state. It schedules counter
 // snapshots at the boundaries of the schedule's merged fault windows and a
 // bounded 100 ms delivery poll after every node crash, all through the
 // ordinary event queue — so its measurements are deterministic and cost
@@ -14,11 +14,11 @@
 //   * time-to-repair: first delivery after each crash instant.
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "mesh/fault/fault_schedule.hpp"
 #include "mesh/sim/simulator.hpp"
-#include "mesh/trace/counter_registry.hpp"
 
 namespace mesh::fault {
 
@@ -42,12 +42,22 @@ struct RecoveryReport {
 
 class RecoveryAnalyzer {
  public:
+  // The three counts the analyzer samples, summed over its domain.
+  struct Counts {
+    std::uint64_t originated{0};    // data packets originated by sources
+    std::uint64_t delivered{0};     // packets handed to member sinks
+    std::uint64_t controlBytes{0};  // routing control bytes sent
+  };
+  // Returns the current counts. It runs inside `simulator`'s events — on
+  // that domain's worker thread — so it must read only that domain's
+  // nodes and ports.
+  using CountsFn = std::function<Counts()>;
+
   // `fanout` is the expected deliveries per originated data packet (group
   // members minus the source when it is also a member) — the same factor
   // Simulation::run() uses, so in+out PDR decompose the headline PDR.
-  // `horizon` is the run duration; counters/schedule must outlive this.
-  RecoveryAnalyzer(sim::Simulator& simulator,
-                   const trace::CounterRegistry& counters,
+  // `horizon` is the run duration; the schedule must outlive this.
+  RecoveryAnalyzer(sim::Simulator& simulator, CountsFn counts,
                    const FaultSchedule& schedule, SimTime horizon,
                    double fanout);
 
@@ -62,12 +72,7 @@ class RecoveryAnalyzer {
   RecoveryReport report() const;
 
  private:
-  struct Snapshot {
-    std::uint64_t originated{0};
-    std::uint64_t delivered{0};
-    std::uint64_t controlBytes{0};
-  };
-  // One crash's delivery poll: resolved when app.packets_delivered first
+  // One crash's delivery poll: resolved when the delivered count first
   // rises above its value at the crash instant.
   struct RepairProbe {
     SimTime crashAt{SimTime::zero()};
@@ -76,12 +81,11 @@ class RecoveryAnalyzer {
     SimTime repairedAt{SimTime::zero()};
   };
 
-  Snapshot take() const;
   void beginRepairProbe(std::size_t index);
   void pollRepair(std::size_t index);
 
   sim::Simulator& simulator_;
-  const trace::CounterRegistry& counters_;
+  CountsFn counts_;
   const FaultSchedule& schedule_;
   SimTime horizon_;
   double fanout_;
@@ -89,8 +93,8 @@ class RecoveryAnalyzer {
   // Snapshot pairs per merged window, filled in as the run crosses each
   // boundary (windowStarts_[i]/windowEnds_[i] for mergedWindows()[i]).
   std::vector<std::pair<SimTime, SimTime>> windows_;
-  std::vector<Snapshot> windowStarts_;
-  std::vector<Snapshot> windowEnds_;
+  std::vector<Counts> windowStarts_;
+  std::vector<Counts> windowEnds_;
   std::vector<RepairProbe> probes_;
   bool armed_{false};
 };

@@ -155,41 +155,6 @@ void GatewayRelay::injectInto(Gateway& gateway, std::size_t dst,
   if (ctx.pool != nullptr) net::PacketPool::setCurrent(prev);
 }
 
-void GatewayRelay::registerPortCounters(std::size_t domain,
-                                        trace::CounterRegistry& registry,
-                                        bool rateAware) const {
-  for (const Gateway& gw : gateways_) {
-    for (const Port& port : gw.ports) {
-      if (port.domain != domain) continue;
-      const phy::RadioStats& phy = port.radio->stats();
-      registry.add("phy.frames_sent", &phy.framesSent);
-      registry.add("phy.frames_delivered", &phy.framesDelivered);
-      registry.add("phy.frames_corrupted", &phy.framesCorrupted);
-      registry.add("phy.frames_below_threshold", &phy.framesBelowThreshold);
-      registry.add("phy.frames_missed_busy", &phy.framesMissedBusy);
-      registry.add("phy.bytes_sent", &phy.bytesSent);
-      registry.add("phy.bytes_delivered", &phy.bytesDelivered);
-      if (rateAware) {
-        registry.add("phy.frames_rate_corrupted", &phy.framesRateCorrupted);
-      }
-      const mac::MacStats& mac = port.mac->stats();
-      registry.add("mac.enqueued", &mac.enqueued);
-      registry.add("mac.queue_tail_drops", &mac.queueDrops);
-      registry.add("mac.queue_tail_drops.data", &mac.queueDropsData);
-      registry.add("mac.queue_tail_drops.probe", &mac.queueDropsProbe);
-      registry.add("mac.queue_tail_drops.control", &mac.queueDropsControl);
-      registry.add("mac.broadcast_sent", &mac.broadcastSent);
-      registry.add("mac.unicast_sent", &mac.unicastSent);
-      registry.add("mac.retries", &mac.retries);
-      registry.add("mac.retry_drops", &mac.retryDrops);
-      registry.add("mac.cts_timeouts", &mac.ctsTimeouts);
-      registry.add("mac.ack_timeouts", &mac.ackTimeouts);
-      registry.add("mac.delivered", &mac.delivered);
-      registry.add("mac.dup_suppressed", &mac.dupSuppressed);
-    }
-  }
-}
-
 std::uint64_t GatewayRelay::totalInjected() const {
   std::uint64_t total = 0;
   for (const Gateway& gw : gateways_) total += gw.counters.injected;

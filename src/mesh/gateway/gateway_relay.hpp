@@ -52,7 +52,6 @@
 #include "mesh/phy/channel.hpp"
 #include "mesh/phy/radio.hpp"
 #include "mesh/sim/simulator.hpp"
-#include "mesh/trace/counter_registry.hpp"
 #include "mesh/trace/trace_collector.hpp"
 
 namespace mesh::gateway {
@@ -100,13 +99,17 @@ class GatewayRelay {
   // joined, all domain clocks at the barrier time).
   void drainAtBarrier();
 
-  // Registers the radio and MAC counters of every port living on `domain`
-  // into `registry`, mirroring MeshNode's phy.* / mac.* taxonomy. Per-
-  // channel frame accounting must include port traffic or the counters
-  // disagree with the channel-tagged trace records. `rateAware` matches the
-  // node-side conditional so fixed-rate counter exports keep their shape.
-  void registerPortCounters(std::size_t domain, trace::CounterRegistry& registry,
-                            bool rateAware) const;
+  // Calls fn(domain, radio stats, MAC stats) for every port. Per-channel
+  // frame accounting must include port traffic or the counters disagree
+  // with the channel-tagged trace records.
+  template <class Fn>
+  void forEachPort(Fn&& fn) const {
+    for (const Gateway& gw : gateways_) {
+      for (const Port& port : gw.ports) {
+        fn(port.domain, port.radio->stats(), port.mac->stats());
+      }
+    }
+  }
 
   std::size_t gatewayCount() const { return gateways_.size(); }
   std::uint64_t totalInjected() const;

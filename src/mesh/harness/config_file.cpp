@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -39,14 +41,13 @@ class Parser {
     std::string section;
     GroupSpec* group = nullptr;
 
-    std::size_t lineNo = 0;
     std::size_t pos = 0;
     while (pos <= text_.size()) {
       const std::size_t eol = text_.find('\n', pos);
       std::string_view line = text_.substr(
           pos, eol == std::string_view::npos ? text_.size() - pos : eol - pos);
       pos = eol == std::string_view::npos ? text_.size() + 1 : eol + 1;
-      ++lineNo;
+      ++line_;
 
       const std::size_t hash = line.find('#');
       if (hash != std::string_view::npos) line = line.substr(0, hash);
@@ -54,7 +55,7 @@ class Parser {
       if (line.empty()) continue;
 
       if (line.front() == '[') {
-        if (line.back() != ']') return fail(lineNo, "unterminated section header");
+        if (line.back() != ']') return fail(line_, "unterminated section header");
         section = lower(trim(line.substr(1, line.size() - 2)));
         group = nullptr;
         if (section.rfind("group", 0) == 0) {
@@ -63,22 +64,23 @@ class Parser {
           if (idText.empty() ||
               std::from_chars(idText.data(), idText.data() + idText.size(), id).ec !=
                   std::errc{}) {
-            return fail(lineNo, "group section needs a numeric id, e.g. [group 1]");
+            return fail(line_, "group section needs a numeric id, e.g. [group 1]");
           }
           config.groups.push_back(GroupSpec{static_cast<net::GroupId>(id), {}, {}});
+          groupLines_.emplace_back();
           group = &config.groups.back();
         } else if (section != "scenario" && section != "protocol" &&
                    section != "traffic" && section != "faults") {
-          return fail(lineNo, "unknown section [" + section + "]");
+          return fail(line_, "unknown section [" + section + "]");
         }
         continue;
       }
 
       const std::size_t eq = line.find('=');
-      if (eq == std::string_view::npos) return fail(lineNo, "expected key = value");
+      if (eq == std::string_view::npos) return fail(line_, "expected key = value");
       const std::string key = lower(trim(line.substr(0, eq)));
       const std::string_view value = trim(line.substr(eq + 1));
-      if (key.empty() || value.empty()) return fail(lineNo, "empty key or value");
+      if (key.empty() || value.empty()) return fail(line_, "empty key or value");
 
       std::string error;
       if (section == "scenario") {
@@ -94,46 +96,45 @@ class Parser {
       } else {
         error = "key outside of any section";
       }
-      if (!error.empty()) return fail(lineNo, error);
+      if (!error.empty()) return fail(line_, error);
     }
 
     if (config.groups.empty()) {
       return {std::nullopt, "config error: no [group N] sections"};
     }
+    // Whole-file checks report the line of the key that set the offending
+    // value; the pair check names the later of its two keys.
     if (config.duration <= config.traffic.start) {
       std::ostringstream out;
-      out << "config error: duration_s (" << config.duration.toSeconds()
+      out << "duration_s (" << config.duration.toSeconds()
           << ") must be greater than start_s ("
           << config.traffic.start.toSeconds() << ")";
-      return {std::nullopt, out.str()};
+      return fail(std::max(durationLine_, startLine_), out.str());
     }
-    for (const GroupSpec& g : config.groups) {
-      for (const net::NodeId id : g.sources) {
-        if (id >= config.nodeCount) {
-          return {std::nullopt, "config error: source id out of range"};
-        }
+    const auto outOfRange = [&](const std::vector<net::NodeId>& ids) {
+      return std::any_of(ids.begin(), ids.end(), [&](net::NodeId id) {
+        return id >= config.nodeCount;
+      });
+    };
+    for (std::size_t g = 0; g < config.groups.size(); ++g) {
+      if (outOfRange(config.groups[g].sources)) {
+        return fail(groupLines_[g].sources, "source id out of range");
       }
-      for (const net::NodeId id : g.members) {
-        if (id >= config.nodeCount) {
-          return {std::nullopt, "config error: member id out of range"};
-        }
-      }
-    }
-    for (const fault::FaultEvent& event : config.faults.events()) {
-      if (event.node >= config.nodeCount ||
-          (event.peer != net::kInvalidNode && event.peer >= config.nodeCount)) {
-        return {std::nullopt, "config error: fault node id out of range"};
+      if (outOfRange(config.groups[g].members)) {
+        return fail(groupLines_[g].members, "member id out of range");
       }
     }
-    for (const net::NodeId id : config.gatewayNodes) {
-      if (id >= config.nodeCount) {
-        return {std::nullopt, "config error: gateway node id out of range"};
+    for (const FaultIds& ids : faultIds_) {
+      if (ids.node >= config.nodeCount ||
+          (ids.peer != net::kInvalidNode && ids.peer >= config.nodeCount)) {
+        return fail(ids.line, "fault node id out of range");
       }
     }
-    for (const net::NodeId id : config.churnVictims) {
-      if (id >= config.nodeCount) {
-        return {std::nullopt, "config error: churn victim id out of range"};
-      }
+    if (outOfRange(config.gatewayNodes)) {
+      return fail(gatewayNodesLine_, "gateway node id out of range");
+    }
+    if (outOfRange(config.churnVictims)) {
+      return fail(churnVictimsLine_, "churn victim id out of range");
     }
     return {std::move(config), {}};
   }
@@ -145,14 +146,45 @@ class Parser {
     return {std::nullopt, out.str()};
   }
 
+  // A finite number; nan and inf are never a valid setting.
   static std::optional<double> number(std::string_view v) {
     // from_chars(double) needs contiguous chars; value is already trimmed.
     double out{};
     const auto result = std::from_chars(v.data(), v.data() + v.size(), out);
-    if (result.ec != std::errc{} || result.ptr != v.data() + v.size()) {
+    if (result.ec != std::errc{} || result.ptr != v.data() + v.size() ||
+        !std::isfinite(out)) {
       return std::nullopt;
     }
     return out;
+  }
+
+  // A whole number in [lo, hi], checked before any cast. Digit strings
+  // parse exactly (64-bit seeds keep every bit); other spellings such as
+  // "1e3" must be integral doubles.
+  static std::optional<std::uint64_t> whole(std::string_view v,
+                                            std::uint64_t lo,
+                                            std::uint64_t hi) {
+    std::uint64_t n{};
+    const auto exact = std::from_chars(v.data(), v.data() + v.size(), n);
+    if (exact.ec != std::errc{} || exact.ptr != v.data() + v.size()) {
+      const auto d = number(v);
+      // 2^64: the first double past every uint64.
+      if (!d || *d != std::floor(*d) || *d < 0.0 || *d >= 0x1p64) {
+        return std::nullopt;
+      }
+      n = static_cast<std::uint64_t>(*d);
+    }
+    if (n < lo || n > hi) return std::nullopt;
+    return n;
+  }
+
+  // A time in seconds that SimTime holds without overflow (its range is
+  // about ±9.2e9 s): finite and in [0, kMaxSeconds].
+  static constexpr double kMaxSeconds = 1e9;
+  static std::optional<double> seconds(std::string_view v) {
+    const auto s = number(v);
+    if (!s || *s < 0.0 || *s > kMaxSeconds) return std::nullopt;
+    return s;
   }
 
   static std::optional<bool> boolean(std::string_view v) {
@@ -164,19 +196,10 @@ class Parser {
 
   static std::optional<std::vector<net::NodeId>> idList(std::string_view v) {
     std::vector<net::NodeId> out;
-    std::size_t i = 0;
-    while (i < v.size()) {
-      while (i < v.size() && std::isspace(static_cast<unsigned char>(v[i]))) ++i;
-      if (i >= v.size()) break;
-      std::size_t j = i;
-      while (j < v.size() && !std::isspace(static_cast<unsigned char>(v[j]))) ++j;
-      int id{};
-      if (std::from_chars(v.data() + i, v.data() + j, id).ec != std::errc{} ||
-          id < 0 || id > 0xFFFF) {
-        return std::nullopt;
-      }
-      out.push_back(static_cast<net::NodeId>(id));
-      i = j;
+    for (const std::string_view token : splitTokens(v)) {
+      const auto id = nodeId(token);
+      if (!id) return std::nullopt;
+      out.push_back(*id);
     }
     return out;
   }
@@ -184,9 +207,9 @@ class Parser {
   std::string scenarioKey(ScenarioConfig& config, const std::string& key,
                           std::string_view value) {
     if (key == "nodes") {
-      const auto n = number(value);
-      if (!n || *n < 1) return "nodes must be a positive integer";
-      config.nodeCount = static_cast<std::size_t>(*n);
+      const auto n = whole(value, 1, net::kMaxNodes);
+      if (!n) return "nodes must be a positive integer (at most 65534)";
+      config.nodeCount = *n;
       return {};
     }
     if (key == "area") {
@@ -200,9 +223,10 @@ class Parser {
       return {};
     }
     if (key == "duration_s") {
-      const auto d = number(value);
-      if (!d || *d <= 0) return "duration_s must be positive";
+      const auto d = seconds(value);
+      if (!d || *d <= 0) return "duration_s must be positive and at most 1e9";
       config.duration = SimTime::seconds(*d);
+      durationLine_ = line_;
       return {};
     }
     if (key == "fading") {
@@ -213,9 +237,10 @@ class Parser {
       return {};
     }
     if (key == "seed") {
-      const auto s = number(value);
-      if (!s || *s < 0) return "seed must be a non-negative integer";
-      config.seed = static_cast<std::uint64_t>(*s);
+      const auto s =
+          whole(value, 0, std::numeric_limits<std::uint64_t>::max());
+      if (!s) return "seed must be a non-negative 64-bit integer";
+      config.seed = *s;
       return {};
     }
     if (key == "connected") {
@@ -239,9 +264,9 @@ class Parser {
       return {};
     }
     if (key == "channels") {
-      const auto n = number(value);
-      if (!n || *n < 1 || *n > 255) return "channels must be 1..255";
-      config.channels = static_cast<std::size_t>(*n);
+      const auto n = whole(value, 1, 255);
+      if (!n) return "channels must be an integer in 1..255";
+      config.channels = *n;
       return {};
     }
     if (key == "channel_assign") {
@@ -253,15 +278,16 @@ class Parser {
       return {};
     }
     if (key == "domain_workers") {
-      const auto n = number(value);
-      if (!n || *n < 1) return "domain_workers must be a positive integer";
-      config.domainWorkers = static_cast<std::size_t>(*n);
+      // Workers clamp to the channel count, which is at most 255.
+      const auto n = whole(value, 1, 255);
+      if (!n) return "domain_workers must be an integer in 1..255";
+      config.domainWorkers = *n;
       return {};
     }
     if (key == "gateways") {
-      const auto n = number(value);
-      if (!n || *n < 0) return "gateways must be a non-negative count";
-      config.gateways = static_cast<std::size_t>(*n);
+      const auto n = whole(value, 0, net::kMaxNodes);
+      if (!n) return "gateways must be a non-negative count (at most 65534)";
+      config.gateways = *n;
       return {};
     }
     if (key == "gateway_select") {
@@ -275,13 +301,13 @@ class Parser {
       const auto ids = idList(value);
       if (!ids || ids->empty()) return "gateway_nodes must be a list of node ids";
       config.gatewayNodes = *ids;
+      gatewayNodesLine_ = line_;
       return {};
     }
     if (key == "switch_slot_ms") {
-      const auto n = number(value);
-      if (!n || *n <= 0) return "switch_slot_ms must be positive";
+      const auto n = whole(value, 1, 1'000 * 1'000'000'000ull);
+      if (!n) return "switch_slot_ms must be a whole number of ms in 1..1e12";
       config.switchSlot = SimTime::milliseconds(static_cast<std::int64_t>(*n));
-      if (config.switchSlot.isZero()) return "switch_slot_ms must be >= 1";
       return {};
     }
     if (key == "placement") {
@@ -323,7 +349,8 @@ class Parser {
     }
     if (key == "probe_rate") {
       const auto r = number(value);
-      if (!r || *r <= 0) return "probe_rate must be positive";
+      // A huge rate would scale the probe period to 0 ns.
+      if (!r || *r <= 0 || *r > 1e6) return "probe_rate must be in (0, 1e6]";
       config.protocol.probeRateScale = *r;
       return {};
     }
@@ -339,26 +366,28 @@ class Parser {
   std::string trafficKey(ScenarioConfig& config, const std::string& key,
                          std::string_view value) {
     if (key == "payload") {
-      const auto n = number(value);
-      if (!n || *n < 1) return "payload must be a positive byte count";
-      config.traffic.payloadBytes = static_cast<std::size_t>(*n);
+      const auto n = whole(value, 1, 65535);
+      if (!n) return "payload must be a positive byte count (at most 65535)";
+      config.traffic.payloadBytes = *n;
       return {};
     }
     if (key == "rate_pps") {
       const auto n = number(value);
-      if (!n || *n <= 0) return "rate_pps must be positive";
+      // A huge rate would round the CBR period to 0 ns.
+      if (!n || *n <= 0 || *n > 1e6) return "rate_pps must be positive, at most 1e6";
       config.traffic.packetsPerSecond = *n;
       return {};
     }
     if (key == "start_s") {
-      const auto n = number(value);
-      if (!n || *n < 0) return "start_s must be non-negative";
+      const auto n = seconds(value);
+      if (!n) return "start_s must be non-negative and at most 1e9";
       config.traffic.start = SimTime::seconds(*n);
+      startLine_ = line_;
       return {};
     }
     if (key == "stop_s") {
-      const auto n = number(value);
-      if (!n || *n <= 0) return "stop_s must be positive";
+      const auto n = seconds(value);
+      if (!n || *n <= 0) return "stop_s must be positive and at most 1e9";
       config.traffic.stop = SimTime::seconds(*n);
       return {};
     }
@@ -394,13 +423,11 @@ class Parser {
     return out;
   }
 
+  // The whole token must be the id: "1.5" or "3x" is no id.
   static std::optional<net::NodeId> nodeId(std::string_view v) {
-    int id{};
-    if (std::from_chars(v.data(), v.data() + v.size(), id).ec != std::errc{} ||
-        id < 0 || id > 0xFFFF) {
-      return std::nullopt;
-    }
-    return static_cast<net::NodeId>(id);
+    const auto id = whole(v, 0, 0xFFFF);
+    if (!id) return std::nullopt;
+    return static_cast<net::NodeId>(*id);
   }
 
   std::string faultEventSpec(ScenarioConfig& config, std::string_view value) {
@@ -475,15 +502,15 @@ class Parser {
     if (i >= toks.size() || toks[i] != "@") return "expected '@ <start_s>'";
     ++i;
     if (i >= toks.size()) return "expected a start time after '@'";
-    const auto start = number(toks[i]);
-    if (!start || *start < 0.0) return "start time must be non-negative";
+    const auto start = seconds(toks[i]);
+    if (!start) return "start time must be non-negative and at most 1e9";
     event.start = SimTime::seconds(*start);
     ++i;
 
     if (i < toks.size()) {
       if (toks[i].front() != '+') return "expected '+<dur_s>' after the start";
-      const auto dur = number(toks[i].substr(1));
-      if (!dur || *dur <= 0.0) return "duration must be positive";
+      const auto dur = seconds(toks[i].substr(1));
+      if (!dur || *dur <= 0.0) return "duration must be positive and at most 1e9";
       event.duration = SimTime::seconds(*dur);
       ++i;
     }
@@ -493,6 +520,7 @@ class Parser {
       return "burst requires a '+<dur_s>' window";
     }
     config.faults.add(event);
+    faultIds_.push_back(FaultIds{event.node, event.peer, line_});
     return {};
   }
 
@@ -514,14 +542,14 @@ class Parser {
       return {};
     }
     if (key == "mean_outage_s") {
-      const auto n = number(value);
-      if (!n || *n <= 0) return "mean_outage_s must be positive";
+      const auto n = seconds(value);
+      if (!n || *n <= 0) return "mean_outage_s must be positive and at most 1e9";
       churnOf(config).meanOutage = SimTime::seconds(*n);
       return {};
     }
     if (key == "mean_burst_s") {
-      const auto n = number(value);
-      if (!n || *n <= 0) return "mean_burst_s must be positive";
+      const auto n = seconds(value);
+      if (!n || *n <= 0) return "mean_burst_s must be positive and at most 1e9";
       churnOf(config).meanBurst = SimTime::seconds(*n);
       return {};
     }
@@ -532,8 +560,8 @@ class Parser {
       return {};
     }
     if (key == "warmup_s") {
-      const auto n = number(value);
-      if (!n || *n < 0) return "warmup_s must be non-negative";
+      const auto n = seconds(value);
+      if (!n) return "warmup_s must be non-negative and at most 1e9";
       churnOf(config).warmup = SimTime::seconds(*n);
       return {};
     }
@@ -543,6 +571,7 @@ class Parser {
         return "churn_victims must be a list of node ids";
       }
       config.churnVictims = *ids;
+      churnVictimsLine_ = line_;
       return {};
     }
     return "unknown [faults] key '" + key + "'";
@@ -554,18 +583,38 @@ class Parser {
       const auto ids = idList(value);
       if (!ids || ids->empty()) return "sources must be a list of node ids";
       group.sources = *ids;
+      groupLines_.back().sources = line_;
       return {};
     }
     if (key == "members") {
       const auto ids = idList(value);
       if (!ids || ids->empty()) return "members must be a list of node ids";
       group.members = *ids;
+      groupLines_.back().members = line_;
       return {};
     }
     return "unknown group key '" + key + "'";
   }
 
   std::string_view text_;
+  std::size_t line_{0};  // the line being parsed
+  // Lines of the keys whose values the whole-file checks in run() test
+  // (0: the key was never set).
+  std::size_t durationLine_{0};
+  std::size_t startLine_{0};
+  struct GroupLines {
+    std::size_t sources{0};
+    std::size_t members{0};
+  };
+  std::vector<GroupLines> groupLines_;  // parallel to config.groups
+  struct FaultIds {
+    net::NodeId node;
+    net::NodeId peer;
+    std::size_t line;
+  };
+  std::vector<FaultIds> faultIds_;  // in file order; the schedule sorts
+  std::size_t gatewayNodesLine_{0};
+  std::size_t churnVictimsLine_{0};
 };
 
 }  // namespace

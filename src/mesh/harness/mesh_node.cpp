@@ -163,67 +163,4 @@ void MeshNode::dispatch(const net::PacketPtr& packet, net::NodeId from) {
   }
 }
 
-void MeshNode::registerCounters(trace::CounterRegistry& registry) const {
-  // One taxonomy shared by every protocol/metric variant: the registry sums
-  // each name across all registered nodes, so per-run totals come out of a
-  // single snapshot() regardless of which protocol produced them.
-  const phy::RadioStats& phy = radio_.stats();
-  registry.add("phy.frames_sent", &phy.framesSent);
-  registry.add("phy.frames_delivered", &phy.framesDelivered);
-  registry.add("phy.frames_corrupted", &phy.framesCorrupted);
-  registry.add("phy.frames_below_threshold", &phy.framesBelowThreshold);
-  registry.add("phy.frames_missed_busy", &phy.framesMissedBusy);
-  registry.add("phy.bytes_sent", &phy.bytesSent);
-  registry.add("phy.bytes_delivered", &phy.bytesDelivered);
-  // Registered only on rate-aware runs so fixed-mode counter exports stay
-  // byte-identical to the pre-rate simulator.
-  if (rateAware_) {
-    registry.add("phy.frames_rate_corrupted", &phy.framesRateCorrupted);
-  }
-
-  const mac::MacStats& mac = mac_.stats();
-  registry.add("mac.enqueued", &mac.enqueued);
-  registry.add("mac.queue_tail_drops", &mac.queueDrops);
-  registry.add("mac.queue_tail_drops.data", &mac.queueDropsData);
-  registry.add("mac.queue_tail_drops.probe", &mac.queueDropsProbe);
-  registry.add("mac.queue_tail_drops.control", &mac.queueDropsControl);
-  registry.add("mac.broadcast_sent", &mac.broadcastSent);
-  registry.add("mac.unicast_sent", &mac.unicastSent);
-  registry.add("mac.retries", &mac.retries);
-  registry.add("mac.retry_drops", &mac.retryDrops);
-  registry.add("mac.cts_timeouts", &mac.ctsTimeouts);
-  registry.add("mac.ack_timeouts", &mac.ackTimeouts);
-  registry.add("mac.delivered", &mac.delivered);
-  registry.add("mac.dup_suppressed", &mac.dupSuppressed);
-
-  const net::ProtocolStats& route = protocol_->stats();
-  registry.add("route.queries_originated", &route.queriesOriginated);
-  registry.add("route.queries_forwarded", &route.queriesForwarded);
-  registry.add("route.duplicate_queries_forwarded",
-               &route.duplicateQueriesForwarded);
-  registry.add("route.queries_dropped", &route.queriesDropped);
-  registry.add("route.replies_originated", &route.repliesOriginated);
-  registry.add("route.replies_forwarded", &route.repliesForwarded);
-  registry.add("route.route_established", &route.routeEstablished);
-  registry.add("route.data_originated", &route.dataOriginated);
-  registry.add("route.data_forwarded", &route.dataForwarded);
-  registry.add("route.data_delivered", &route.dataDelivered);
-  registry.add("route.data_duplicates", &route.dataDuplicates);
-  registry.add("route.control_bytes_sent", &route.controlBytesSent);
-  registry.add("route.data_bytes_sent", &route.dataBytesSent);
-
-  const metrics::ProbeServiceStats& probe = probes_->stats();
-  registry.add("probe.sent", &probe.probesSent);
-  registry.add("probe.bytes_sent", &probe.probeBytesSent);
-  registry.add("probe.received", &probe.probesReceived);
-  registry.add("probe.bytes_received", &probe.probeBytesReceived);
-
-  registry.add("app.probes_blackholed", &bytes_.probesBlackholed);
-  registry.add("app.rx_bytes.probe", &bytes_.probeBytesReceived);
-  registry.add("app.rx_bytes.control", &bytes_.controlBytesReceived);
-  registry.add("app.rx_bytes.data", &bytes_.dataBytesReceived);
-  registry.add("app.packets_delivered", sink_.packetsReceivedSlot());
-  registry.add("app.payload_bytes_delivered", sink_.payloadBytesReceivedSlot());
-}
-
 }  // namespace mesh::harness

@@ -17,6 +17,7 @@
 #include "mesh/app/cbr_source.hpp"
 #include "mesh/app/multicast_sink.hpp"
 #include "mesh/common/rng.hpp"
+#include "mesh/harness/counters.hpp"
 #include "mesh/mac/mac80211.hpp"
 #include "mesh/metrics/metric.hpp"
 #include "mesh/metrics/neighbor_table.hpp"
@@ -28,17 +29,9 @@
 #include "mesh/phy/radio.hpp"
 #include "mesh/rate/rate_controller.hpp"
 #include "mesh/sim/simulator.hpp"
-#include "mesh/trace/counter_registry.hpp"
 #include "mesh/trace/trace_collector.hpp"
 
 namespace mesh::harness {
-
-struct NodeByteCounters {
-  std::uint64_t probeBytesReceived{0};
-  std::uint64_t controlBytesReceived{0};
-  std::uint64_t dataBytesReceived{0};
-  std::uint64_t probesBlackholed{0};  // eaten by a ProbeBlackhole fault
-};
 
 struct MeshNodeConfig {
   phy::PhyParams phy{};
@@ -125,10 +118,11 @@ class MeshNode {
   // Null when the node runs the legacy single-rate path.
   rate::RateController* rateController() { return rateController_.get(); }
 
-  // Publishes every layer's counters into the shared per-run taxonomy
-  // (phy.* / mac.* / route.* / probe.* / app.*). The registry sums slots
-  // across all nodes that register under the same name.
-  void registerCounters(trace::CounterRegistry& registry) const;
+  // Every layer's stats, for the per-run counter taxonomy (Counters).
+  CounterSource counterSource() const {
+    return {&radio_.stats(), &mac_.stats(), &protocol_->stats(),
+            &probes_->stats(), &bytes_, &sink_};
+  }
 
  private:
   void dispatch(const net::PacketPtr& packet, net::NodeId from);

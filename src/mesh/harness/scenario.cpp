@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "mesh/channelplan/domain_scheduler.hpp"
 #include "mesh/common/assert.hpp"
@@ -261,6 +262,14 @@ std::unique_ptr<phy::LinkModel> Simulation::makeDynamicLinkModel(Rng& rng) {
 }
 
 void Simulation::build() {
+  // Node ids are 16-bit with the top two reserved (net::kMaxNodes); a
+  // larger world would alias them, so it is refused before any allocation.
+  if (config_.nodeCount > net::kMaxNodes) {
+    throw std::invalid_argument("node count " +
+                                std::to_string(config_.nodeCount) +
+                                " exceeds the 16-bit id space (at most " +
+                                std::to_string(net::kMaxNodes) + ")");
+  }
   // An empty traffic window is a scenario error (a clamped bench duration,
   // a mistyped stop_s), so it throws for the runner to report rather than
   // tripping CbrSource's invariant.
@@ -365,20 +374,8 @@ void Simulation::build() {
   nodeConfig.rateControl = config_.rateControl;
   nodeConfig.rateTable = rateTable_.get();
   nodes_.reserve(config_.nodeCount);
-  registry_.hintSlotsPerSeries(config_.nodeCount + 1);
-  // One domain registers straight into the run-level registry: a second
-  // registry plus absorb() would cost set-up time and memory per world
-  // for identical counts.
-  if (domains == 1) {
-    domainRegistries_.push_back(&registry_);
-  } else {
-    for (std::size_t d = 0; d < domains; ++d) {
-      auto& owned = ownedRegistries_.emplace_back(
-          std::make_unique<trace::CounterRegistry>());
-      owned->hintSlotsPerSeries(config_.nodeCount / domains + 2);
-      domainRegistries_.push_back(owned.get());
-    }
-  }
+  counters_ =
+      Counters{domains, config_.rateControl != rate::ControlKind::Fixed};
   for (std::size_t i = 0; i < config_.nodeCount; ++i) {
     const auto id = static_cast<net::NodeId>(i);
     const std::size_t d = plan_.channelOf(id);
@@ -387,14 +384,8 @@ void Simulation::build() {
     nodes_.push_back(std::make_unique<MeshNode>(
         *sims_[d], *channels_[d], id, nodeConfig, metric_.get(),
         rng.fork("node", i), collector));
-    // Nodes register into their domain registry only — what per-channel
-    // results and the recovery analyzers read. With several domains the
-    // run-level taxonomy in registry_ absorbs every domain registry after
-    // the loop: same shared slots, one bulk map walk instead of a second
-    // per-node registration.
-    nodes_.back()->registerCounters(*domainRegistries_[d]);
+    counters_.add(nodes_.back()->counterSource(), d);
   }
-  for (const auto& owned : ownedRegistries_) registry_.absorb(*owned);
 
   for (const GroupSpec& spec : config_.groups) {
     for (const net::NodeId member : spec.members) {
@@ -477,13 +468,11 @@ void Simulation::buildGateways(Rng& rng) {
     });
   }
   // Port radios transmit on their channel like any node radio, so their
-  // counters join both registries — otherwise the per-channel frame
-  // counts disagree with the channel-tagged trace records.
-  const bool rateAware = config_.rateControl != rate::ControlKind::Fixed;
-  for (std::size_t d = 0; d < domains; ++d) {
-    relay_->registerPortCounters(d, registry_, rateAware);
-    relay_->registerPortCounters(d, *domainRegistries_[d], rateAware);
-  }
+  // phy.* and mac.* counters count in their domain.
+  relay_->forEachPort([this](std::size_t d, const phy::RadioStats& phy,
+                             const mac::MacStats& mac) {
+    counters_.add({&phy, &mac, nullptr, nullptr, nullptr, nullptr}, d);
+  });
 }
 
 void Simulation::buildFaults(Rng& rng) {
@@ -590,9 +579,16 @@ void Simulation::buildFaults(Rng& rng) {
       }
     }
     if (sources > 0) fanout /= static_cast<double>(sources);
+    // Runs on domain d's worker thread, so it reads domain d only.
+    const auto counts = [this, d] {
+      return fault::RecoveryAnalyzer::Counts{
+          counters_.sum(&net::ProtocolStats::dataOriginated, d),
+          counters_.sum(&app::MulticastSink::packetsReceived, d),
+          counters_.sum(&net::ProtocolStats::controlBytesSent, d)};
+    };
     recovery_[d] = std::make_unique<fault::RecoveryAnalyzer>(
-        *sims_[d], *domainRegistries_[d], injectors_[d]->schedule(),
-        config_.duration, fanout);
+        *sims_[d], counts, injectors_[d]->schedule(), config_.duration,
+        fanout);
     recovery_[d]->arm();
   }
 }
@@ -719,9 +715,9 @@ RunResults Simulation::run() {
   if (plan_.channels > 1) {
     for (std::size_t d = 0; d < plan_.channels; ++d) {
       results.channelFrames.push_back(
-          domainRegistries_[d]->value("phy.frames_sent"));
+          counters_.sum(&phy::RadioStats::framesSent, d));
       results.channelDelivered.push_back(
-          domainRegistries_[d]->value("app.packets_delivered"));
+          counters_.sum(&app::MulticastSink::packetsReceived, d));
     }
   }
 
@@ -749,7 +745,7 @@ RunResults Simulation::run() {
     parts.reserve(traces_.size());
     for (const auto& collector : traces_) parts.push_back(collector.get());
     if (!trace::TraceCollector::exportMergedJsonl(
-            config_.tracePath, traceMetaLine(), registry_.snapshot(), parts)) {
+            config_.tracePath, traceMetaLine(), counters_.snapshot(), parts)) {
       throw std::runtime_error("trace export failed: cannot write " +
                                config_.tracePath);
     }
@@ -777,14 +773,17 @@ void Simulation::aggregateTraffic(RunResults& results) {
     }
   }
 
-  // Byte/frame totals come from the counter registry — the same slots every
-  // protocol variant registers under one taxonomy, so these aggregates and
-  // a `meshtrace` replay read identical numbers.
-  results.probeBytesReceived = registry_.value("app.rx_bytes.probe");
-  results.dataBytesReceived = registry_.value("app.rx_bytes.data");
-  results.controlBytesReceived = registry_.value("app.rx_bytes.control");
-  results.macBroadcastsSent = registry_.value("mac.broadcast_sent");
-  results.radioFramesCorrupted = registry_.value("phy.frames_corrupted");
+  // Byte/frame totals read the same fields as the exported counters, so
+  // these aggregates and a `meshtrace` replay read identical numbers.
+  results.probeBytesReceived =
+      counters_.sum(&NodeByteCounters::probeBytesReceived);
+  results.dataBytesReceived =
+      counters_.sum(&NodeByteCounters::dataBytesReceived);
+  results.controlBytesReceived =
+      counters_.sum(&NodeByteCounters::controlBytesReceived);
+  results.macBroadcastsSent = counters_.sum(&mac::MacStats::broadcastSent);
+  results.radioFramesCorrupted =
+      counters_.sum(&phy::RadioStats::framesCorrupted);
 
   OnlineStats delay;
   for (const auto& node : nodes_) delay.merge(node->sink().delayStats());

@@ -23,6 +23,7 @@
 #include "mesh/fault/recovery_analyzer.hpp"
 #include "mesh/gateway/gateway_relay.hpp"
 #include "mesh/gateway/gateway_set.hpp"
+#include "mesh/harness/counters.hpp"
 #include "mesh/harness/mesh_node.hpp"
 #include "mesh/harness/topology_snapshot.hpp"
 #include "mesh/metrics/metric.hpp"
@@ -236,11 +237,11 @@ struct RunResults {
   std::uint64_t repairsUnresolved{0};
 
   // Per-collision-domain counters, indexed by channel. Empty unless the
-  // run used channels > 1. Sourced from each domain's own counter
-  // registry; `meshtrace verify` cross-checks them against the trace's
+  // run used channels > 1. Summed over each domain's nodes and gateway
+  // ports; `meshtrace verify` cross-checks them against the trace's
   // channel-tagged TxStart/Deliver records.
-  std::vector<std::uint64_t> channelFrames;     // phy.frames_sent
-  std::vector<std::uint64_t> channelDelivered;  // app.packets_delivered
+  std::vector<std::uint64_t> channelFrames;     // radio frames sent
+  std::vector<std::uint64_t> channelDelivered;  // packets delivered to sinks
 
   // Gateway relay totals; zero/empty unless the run configured gateways.
   // `handoffFrames` counts frames injected across a domain boundary;
@@ -292,9 +293,9 @@ class Simulation {
   // single-channel run; domainChannel() reaches the others.
   sim::Simulator& simulator() { return *sims_[0]; }
   phy::Channel& channel() { return *channels_[0]; }
-  // Per-run counter taxonomy, summed across nodes and domains: every
-  // domain registry is absorbed here, sharing the same live slots.
-  const trace::CounterRegistry& counters() const { return registry_; }
+  // Per-run counter taxonomy: value(name) and snapshot() sum each
+  // exported field over every node and gateway port of every domain.
+  const Counters& counters() const { return counters_; }
 
   // The channel plan is always built; one domain lists every node.
   std::size_t channelCount() const { return plan_.channels; }
@@ -345,21 +346,17 @@ class Simulation {
   // live packets, so member order relative to packet holders below is
   // immaterial.
   std::vector<std::unique_ptr<net::PacketPool>> pools_;
-  trace::CounterRegistry registry_;
   std::unique_ptr<metrics::Metric> metric_;  // null for original ODMRP
   std::unique_ptr<rate::RateTable> rateTable_;  // null on fixed single-rate
 
-  // One simulator, channel, trace collector (when tracing) and counter
-  // registry per collision domain. Declared BEFORE nodes_/injectors_ so
-  // anything holding a Simulator& or Channel& (node timers cancel against
-  // their domain simulator on destruction) is torn down first. A single
-  // domain's registry is registry_ itself; several own theirs.
+  // One simulator, channel and trace collector (when tracing) per
+  // collision domain. Declared BEFORE nodes_/injectors_ so anything
+  // holding a Simulator& or Channel& (node timers cancel against their
+  // domain simulator on destruction) is torn down first.
   channelplan::ChannelPlan plan_;
   std::vector<std::unique_ptr<sim::Simulator>> sims_;
   std::vector<std::unique_ptr<phy::Channel>> channels_;
   std::vector<std::unique_ptr<trace::TraceCollector>> traces_;
-  std::vector<std::unique_ptr<trace::CounterRegistry>> ownedRegistries_;
-  std::vector<trace::CounterRegistry*> domainRegistries_;
 
   // Gateway relay: its ports hold Radio/Mac instances referencing the
   // domain simulators and channels above, so like nodes_ it must be
@@ -368,6 +365,8 @@ class Simulation {
   std::unique_ptr<gateway::GatewayRelay> relay_;
 
   std::vector<std::unique_ptr<MeshNode>> nodes_;
+  // Reads the stats of nodes_ and the relay's ports by collision domain.
+  Counters counters_;
   // The merged fault timeline (explicit + churn) as configured, before
   // per-domain scoping; its union window is the run's fault window.
   fault::FaultSchedule faults_;

@@ -5,6 +5,7 @@
 // Glomosim's node numbers both map onto this). Multicast groups get their
 // own id space, mirroring the class-D addresses the odmrpd daemon keys on.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 
@@ -15,6 +16,8 @@ using GroupId = std::uint16_t;
 
 inline constexpr NodeId kBroadcastNode = 0xFFFF;
 inline constexpr NodeId kInvalidNode = 0xFFFE;
+// Ids 0..kMaxNodes-1 are usable; the two above them are reserved.
+inline constexpr std::size_t kMaxNodes = kInvalidNode;
 
 // A directed link (transmitter -> receiver); hashable for neighbor tables.
 struct LinkKey {

@@ -27,16 +27,8 @@ Channel::Channel(sim::Simulator& simulator, std::unique_ptr<LinkModel> linkModel
       cacheMeans_{linkModel_ != nullptr && linkModel_->meansCacheable()} {
   MESH_REQUIRE(linkModel_ != nullptr);
   MESH_REQUIRE(fadingHeadroom_ >= 1.0);
-  scaledFading_ = linkModel_->meanScaledFading();
-  if (scaledFading_ == nullptr) {
-    fadingPath_ = FadingPath::Generic;
-  } else if (dynamic_cast<const RayleighFading*>(scaledFading_) != nullptr) {
-    fadingPath_ = FadingPath::Rayleigh;
-  } else if (dynamic_cast<const NoFading*>(scaledFading_) != nullptr) {
-    fadingPath_ = FadingPath::Unity;  // powerGain() == 1.0, draw-free
-  } else {
-    fadingPath_ = FadingPath::Virtual;
-  }
+  inlineRayleigh_ = dynamic_cast<const RayleighFading*>(
+                        linkModel_->meanScaledFading()) != nullptr;
 }
 
 void Channel::attach(Radio& radio) {
@@ -355,7 +347,7 @@ void Channel::transmit(Radio& sender, const PhyFramePtr& frame,
   FanoutRun& run = acquireRun();
   std::vector<FanoutRun::Delivery>& kept = run.deliveries;
   std::vector<sim::EventRun::Item>& items = run.items();
-  const FadingPath fp = fadingPath_;
+  const bool inlineRayleigh = inlineRayleigh_;
   for (const CachedLink& link : row) {
     Radio& receiver = *radios_[link.rxIndex];
     if (checkLoss && lossSuppressed(txNode, receiver.nodeId(), frame)) {
@@ -368,16 +360,11 @@ void Channel::transmit(Radio& sender, const PhyFramePtr& frame,
       // are queried live (the cache still bounds the fan-out via its
       // headroom).
       powerW = linkModel_->sampleRxPowerW(txNode, receiver.nodeId(), rng_);
-    } else if (fp == FadingPath::Rayleigh) {
-      // Hot path: flat slab of precomputed (receiver, mean, delay); with a
-      // mean-scaled fading model even the per-frame sampling draw is
-      // inlined (fadingPath_, classified at construction — same draws,
-      // same bits).
+    } else if (inlineRayleigh) {
+      // Hot path: flat slab of precomputed (receiver, mean, delay); with
+      // mean-scaled Rayleigh fading even the per-frame sampling draw is
+      // inlined (same draws, same bits).
       powerW = link.meanPowerW * rng_.rayleighPowerGain();
-    } else if (fp == FadingPath::Unity) {
-      powerW = link.meanPowerW;
-    } else if (fp == FadingPath::Virtual) {
-      powerW = link.meanPowerW * scaledFading_->powerGain(rng_);
     } else {
       powerW = linkModel_->samplePowerGivenMeanW(txNode, receiver.nodeId(),
                                                  link.meanPowerW, rng_);

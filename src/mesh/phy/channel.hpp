@@ -276,13 +276,11 @@ class Channel {
   double fadingHeadroom_;
   bool cacheMeans_{true};  // linkModel_->meansCacheable(), hoisted
 
-  // Specialization of the cached-means fading draw, classified once at
-  // construction from linkModel_->meanScaledFading(): Rayleigh and unity
-  // gains are drawn inline (identical draws, no virtual dispatch per
-  // receiver); anything else falls back to the generic sampling hook.
-  enum class FadingPath : std::uint8_t { Generic, Virtual, Unity, Rayleigh };
-  FadingPath fadingPath_{FadingPath::Generic};
-  const FadingModel* scaledFading_{nullptr};
+  // True when linkModel_->meanScaledFading() is Rayleigh: the cached-means
+  // fan-out then draws the gain inline (identical draws, no virtual
+  // dispatch per receiver); every other model goes through
+  // samplePowerGivenMeanW.
+  bool inlineRayleigh_{false};
 
   std::vector<Radio*> radios_;                 // indexed by attach order
   std::unordered_map<net::NodeId, std::uint32_t> nodeIndex_;  // id -> index

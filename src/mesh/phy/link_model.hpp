@@ -64,9 +64,9 @@ class LinkModel {
 
   // Non-null iff samplePowerGivenMeanW is exactly
   // `meanPowerW * fading->powerGain(rng)` for every link, independent of
-  // the pair. The channel then specializes its cached-means delivery loop
-  // on the concrete fading model (inlining the Rayleigh draw, skipping the
-  // unity draw) — same draws, same bits, no virtual dispatch per receiver.
+  // the pair. The channel then inlines the Rayleigh draw in its
+  // cached-means delivery loop — same draws, same bits, no virtual
+  // dispatch per receiver.
   // Models with per-link stochastic structure (loss matrices) decline.
   virtual const FadingModel* meanScaledFading() const { return nullptr; }
 

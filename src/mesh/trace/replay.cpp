@@ -1,5 +1,6 @@
 #include "mesh/trace/replay.hpp"
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -27,8 +28,11 @@ TraceSummary summarizeTrace(const ParsedTrace& trace) {
   // the exact shape of Simulation::run()'s per-sink merge.
   std::map<net::NodeId, OnlineStats> delayPerNode;
   std::uint64_t payloadBytesDelivered = 0;
+  // Records by type, for the counter-line audit (drops by reason below).
+  std::array<std::uint64_t, 256> recordsByType{};
 
   for (const ParsedRecord& record : trace.records) {
+    ++recordsByType[static_cast<std::uint8_t>(record.type)];
     switch (record.type) {
       case EventType::MemberJoin:
         members[record.group].insert(record.node);
@@ -106,6 +110,21 @@ TraceSummary summarizeTrace(const ParsedTrace& trace) {
       if (it->second.contains(origin)) --fanout;
     }
     summary.expectedDeliveries += births * fanout;
+  }
+
+  for (const auto& [name, value] : trace.counters) {
+    for (const RecordCount& rule : kRecordCounts) {
+      if (rule.counter != name) continue;
+      std::uint64_t records =
+          recordsByType[static_cast<std::uint8_t>(rule.type)];
+      if (rule.type == EventType::Drop) {
+        const auto it = summary.dropsByReason.find(toString(rule.reason));
+        records = it != summary.dropsByReason.end() ? it->second : 0;
+      }
+      if (records != value) {
+        summary.counterMismatches.push_back({name, value, records});
+      }
+    }
   }
 
   OnlineStats delay;
@@ -288,6 +307,12 @@ VerifyReport verifyAgainstResults(const std::string& resultsJsonlPath,
     }
     if (summary.deliversWithoutBirth > 0) {
       run.error = "trace contains deliveries with no matching birth";
+    }
+    // A counter line must agree with the trace's own records.
+    for (const TraceSummary::CounterMismatch& m : summary.counterMismatches) {
+      run.mismatches.push_back(FieldDiff{m.counter,
+                                         static_cast<double>(m.records),
+                                         static_cast<double>(m.value)});
     }
     run.ok = run.error.empty() && run.mismatches.empty();
     report.runs.push_back(std::move(run));

@@ -44,6 +44,15 @@ struct TraceSummary {
   // zero on a well-formed trace.
   std::uint64_t deliversWithoutBirth{0};
 
+  // Audit: counter lines that disagree with the count of the records they
+  // count (kRecordCounts). Empty on a well-formed trace.
+  struct CounterMismatch {
+    std::string counter;
+    std::uint64_t value{0};    // the counter line
+    std::uint64_t records{0};  // the records it counts
+  };
+  std::vector<CounterMismatch> counterMismatches;
+
   // Per-collision-domain breakdown, keyed by channel index. Populated only
   // from records carrying a "channel" field (multi-channel runs); empty on
   // single-channel traces. busyTimeNs is the summed frame airtime estimate

@@ -12,7 +12,9 @@
 // Drop records always carry an explicit DropReason: an audited simulation
 // must never lose a packet copy for an "unknown" reason.
 
+#include <array>
 #include <cstdint>
+#include <string_view>
 
 #include "mesh/common/simtime.hpp"
 #include "mesh/net/addr.hpp"
@@ -75,6 +77,40 @@ enum class FaultKind : std::uint8_t {
   ProbeBlackhole = 4,    // node silently swallows received probes
   MacQueueDrop = 5,      // node's MAC silently drops frames at enqueue
 };
+
+// Counters whose exported value a trace's own records fix exactly: the
+// value equals the number of `type` records (with `reason`, for drops).
+// summarizeTrace checks every such counter line a trace carries. The
+// counter table (harness/counters.cpp) names these rows through
+// countedBy(), so each counter name is spelled once.
+struct RecordCount {
+  std::string_view counter;
+  EventType type;
+  DropReason reason{DropReason::Unknown};
+};
+inline constexpr std::array kRecordCounts{
+    RecordCount{"app.packets_delivered", EventType::Deliver},
+    RecordCount{"mac.enqueued", EventType::Enqueue},
+    RecordCount{"phy.frames_below_threshold", EventType::Drop,
+                DropReason::PhyBelowSensitivity},
+    RecordCount{"phy.frames_corrupted", EventType::Drop,
+                DropReason::PhyCollision},
+    RecordCount{"phy.frames_missed_busy", EventType::Drop,
+                DropReason::PhyRadioBusy},
+    RecordCount{"phy.frames_rate_corrupted", EventType::Drop,
+                DropReason::PhyRateDecode},
+    RecordCount{"phy.frames_sent", EventType::TxStart},
+    RecordCount{"route.data_originated", EventType::PktBirth},
+};
+
+// The counter that counts `type` records (of `reason`); empty when none.
+constexpr std::string_view countedBy(EventType type,
+                                     DropReason reason = DropReason::Unknown) {
+  for (const RecordCount& count : kRecordCounts) {
+    if (count.type == type && count.reason == reason) return count.counter;
+  }
+  return {};
+}
 
 const char* toString(EventType type);
 const char* toString(DropReason reason);

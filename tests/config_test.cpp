@@ -138,17 +138,73 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"[traffic]\nrate_pps = 0\n", "positive"},
         BadCase{"[group]\nsources = 0\n", "numeric id"},
         BadCase{"[group 1]\nsources = x\n", "list of node ids"},
+        BadCase{"[group 1]\nsources = 1.5\n", "list of node ids"},
+        BadCase{"[group 1]\nsources = 0\nmembers = 3x\n", "list of node ids"},
+        BadCase{"[faults]\nevent = crash 2.5 @ 5\n", "bad node id"},
         BadCase{"[group 1]\nsources = 0\nmembers = 1\n[group 2]\ncolor = red\n",
                 "unknown group key"},
         BadCase{"[scenario]\nnodes = 5\n", "no [group N] sections"},
         BadCase{"[scenario]\nnodes = 3\n[group 1]\nsources = 0\nmembers = 9\n",
-                "member id out of range"},
+                "line 5: member id out of range"},
+        BadCase{"[scenario]\nnodes = 3\n[group 1]\nsources = 7\nmembers = 1\n",
+                "line 4: source id out of range"},
+        BadCase{"[scenario]\nnodes = 3\ngateway_nodes = 1 3\n[group 1]\n"
+                "sources = 0\nmembers = 1\n",
+                "line 3: gateway node id out of range"},
+        BadCase{"[scenario]\nnodes = 3\n[faults]\nevent = crash 1 @ 5\n"
+                "event = blackout 0-4 @ 6\n[group 1]\nsources = 0\nmembers = 1\n",
+                "line 5: fault node id out of range"},
+        BadCase{"[scenario]\nnodes = 3\n[faults]\nchurn_victims = 2 5\n"
+                "[group 1]\nsources = 0\nmembers = 1\n",
+                "line 4: churn victim id out of range"},
         BadCase{"[scenario]\nduration_s = 20\n[traffic]\nstart_s = 30\n"
                 "[group 1]\nsources = 0\nmembers = 1\n",
-                "duration_s (20) must be greater than start_s (30)"},
-        BadCase{"[scenario]\nduration_s = 30\n[traffic]\nstart_s = 30\n"
+                "line 4: duration_s (20) must be greater than start_s (30)"},
+        BadCase{"[traffic]\nstart_s = 30\n[scenario]\nduration_s = 30\n"
                 "[group 1]\nsources = 0\nmembers = 1\n",
-                "duration_s (30) must be greater than start_s (30)"}));
+                "line 4: duration_s (30) must be greater than start_s (30)"},
+        // Hostile numbers are refused before any cast.
+        BadCase{"[scenario]\nnodes = 1e30\n", "line 2: nodes must be"},
+        BadCase{"[scenario]\nnodes = 2.5\n", "nodes must be a positive integer"},
+        BadCase{"[scenario]\nnodes = 70000\n", "at most 65534"},
+        BadCase{"[scenario]\nnodes = 65535\n", "at most 65534"},
+        BadCase{"[scenario]\nseed = 1e30\n", "seed must be"},
+        BadCase{"[scenario]\nseed = 18446744073709551616\n", "seed must be"},
+        BadCase{"[scenario]\nchannels = 2.5\n", "channels must be"},
+        BadCase{"[scenario]\ngateways = 1e30\n", "gateways must be"},
+        BadCase{"[scenario]\nswitch_slot_ms = 0.5\n", "switch_slot_ms must be"},
+        BadCase{"[traffic]\npayload = 1e30\n", "payload must be"},
+        BadCase{"[scenario]\nduration_s = nan\n", "duration_s must be"},
+        BadCase{"[scenario]\nduration_s = inf\n", "duration_s must be"},
+        BadCase{"[scenario]\nduration_s = 1e30\n", "duration_s must be"},
+        BadCase{"[traffic]\nstart_s = -inf\n", "start_s must be"},
+        BadCase{"[traffic]\nrate_pps = nan\n", "rate_pps must be"},
+        BadCase{"[traffic]\nrate_pps = 1e12\n", "rate_pps must be"},
+        BadCase{"[protocol]\nprobe_rate = 1e30\n", "probe_rate must be"},
+        BadCase{"[faults]\nevent = crash 1 @ inf\n", "start time must be"},
+        BadCase{"[faults]\nwarmup_s = 1e300\n", "warmup_s must be"}));
+
+TEST(ConfigFile, WholeNumbersKeepEveryBit) {
+  const auto result = parseScenarioConfig(
+      "[scenario]\nnodes = 65534\nseed = 18446744073709551615\n"
+      "channels = 3e0\n[group 1]\nsources = 0\nmembers = 1\n");
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(result.config->nodeCount, 65534u);
+  EXPECT_EQ(result.config->seed, 18446744073709551615ull);
+  EXPECT_EQ(result.config->channels, 3u);
+}
+
+TEST(ConfigFile, OversizedWorldIsRefusedBeforeItBuilds) {
+  ScenarioConfig config;
+  config.nodeCount = 65535;
+  try {
+    Simulation sim{config};
+    FAIL() << "a world past the 16-bit id space must not build";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("65534"), std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(ConfigFile, ErrorsIncludeLineNumbers) {
   const auto result = parseScenarioConfig("[scenario]\nnodes = 5\nbad line\n");

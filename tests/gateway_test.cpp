@@ -300,6 +300,10 @@ TEST(GatewayDeterminism, WorkerCountDoesNotChangeRunBytes) {
   const trace::TraceSummary summary = trace::summarizeTrace(*read.trace);
   EXPECT_EQ(summary.handoffFrames, w1.handoffFrames);
   EXPECT_EQ(summary.deliversWithoutBirth, 0u);
+  // Port radios count in the phy.* and mac.* lines exactly as their
+  // records do.
+  EXPECT_TRUE(summary.counterMismatches.empty())
+      << summary.counterMismatches.front().counter;
   for (const gateway::GatewayCounters& gw : w1.gatewayStats) {
     const auto it = summary.handoffPerGateway.find(gw.node);
     const std::uint64_t traced =

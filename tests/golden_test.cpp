@@ -1,4 +1,4 @@
-// Golden digests: four traced runs whose trace bytes, event counts and
+// Golden digests: five traced runs whose trace bytes, event counts and
 // delivery counts are pinned to fixed values (DESIGN §8.6, "golden v2").
 //
 // Each run covers one kind of world the Simulation builds:
@@ -6,7 +6,10 @@
 //  * the Section 5 testbed (custom link-model factory, pair scan);
 //  * the 50-node cell under random-waypoint mobility (live positions,
 //    periodic reachability refresh);
-//  * the 50-node cell under seeded churn (crashes, blackouts, bursts).
+//  * the 50-node cell under seeded churn (crashes, blackouts, bursts);
+//  * a 150-node world on three channels with six gateways, Minstrel rate
+//    control and crash churn (collision domains on worker threads, gateway
+//    ports, the rate-aware counter row, per-domain recovery).
 //
 // A change that is meant to leave results alone must keep every value
 // here. A change that deliberately alters results re-pins all of them in
@@ -23,6 +26,7 @@
 #include "mesh/fault/fault_schedule.hpp"
 #include "mesh/harness/scenario.hpp"
 #include "mesh/metrics/metric.hpp"
+#include "mesh/rate/rate_table.hpp"
 #include "mesh/testbed/floorplan.hpp"
 #include "mesh/testbed/loss_link_model.hpp"
 
@@ -135,6 +139,33 @@ TEST(Golden, PaperCellChurn60s) {
   config.churn = churn;
   const harness::RunResults results = expectGolden(
       std::move(config), "churn", {65130985040731197ull, 2483567u, 14195u});
+  EXPECT_GT(results.faultsApplied, 0u);
+}
+
+TEST(Golden, GatewayMinstrelChurn20s) {
+  harness::ScenarioConfig config = harness::scaledSimulationScenario(150);
+  config.seed = 41;
+  config.duration = 20_s;
+  config.traffic.start = 5_s;
+  config.traffic.stop = 20_s;
+  config.channels = 3;
+  config.domainWorkers = 3;
+  config.gateways = 6;
+  config.gatewaySelect = gateway::GatewaySelect::Boundary;
+  config.rateControl = rate::ControlKind::Minstrel;
+  config.rateSet = rate::RateSetKind::Dsss;
+  // Groups span the whole id space, so traffic rides the gateways.
+  Rng groupRng = Rng{config.seed}.fork("groups");
+  config.groups = harness::makeRandomGroups(config.nodeCount, 2, 10, 1, groupRng);
+  config.protocol = harness::ProtocolSpec::with(metrics::MetricKind::Spp);
+  fault::ChurnSpec churn;
+  churn.crashesPerMinute = 12.0;
+  churn.warmup = 8_s;
+  config.churn = churn;
+  const harness::RunResults results = expectGolden(
+      std::move(config), "gateway_minstrel_churn",
+      {17164490869461552348ull, 460146u, 1042u});
+  EXPECT_GT(results.handoffFrames, 0u);
   EXPECT_GT(results.faultsApplied, 0u);
 }
 

@@ -1,4 +1,4 @@
-// Observability subsystem: trace records, counter registry, collector
+// Observability subsystem: trace records, the counter table, collector
 // export/read round trips, and — the load-bearing checks — trace exports
 // that are byte-identical across sweep job counts, and a replay that
 // recomputes the paper's headline metrics bit-for-bit equal to the
@@ -12,12 +12,13 @@
 #include <string>
 #include <vector>
 
+#include "mesh/app/multicast_sink.hpp"
+#include "mesh/harness/counters.hpp"
 #include "mesh/harness/experiment.hpp"
 #include "mesh/harness/scenario.hpp"
 #include "mesh/net/packet.hpp"
 #include "mesh/runner/result_sink.hpp"
 #include "mesh/runner/sweep.hpp"
-#include "mesh/trace/counter_registry.hpp"
 #include "mesh/trace/replay.hpp"
 #include "mesh/trace/trace_collector.hpp"
 #include "mesh/trace/trace_event.hpp"
@@ -39,28 +40,73 @@ std::string slurp(const std::string& path) {
   return out.str();
 }
 
-// ------------------------------------------------------------ registry
+// ------------------------------------------------------------ counters
 
-TEST(CounterRegistry, SumsEverySlotRegisteredUnderOneName) {
-  std::uint64_t a = 3, b = 39, other = 7;
-  trace::CounterRegistry registry;
-  registry.add("phy.frames_corrupted", &a);
-  registry.add("phy.frames_corrupted", &b);
-  registry.add("mac.enqueued", &other);
+TEST(Counters, SumsEachTableFieldOverNodesAndPorts) {
+  sim::Simulator simulator;
+  app::MulticastSink sink{simulator};
+  phy::RadioStats radioA, radioB, portRadio;
+  mac::MacStats macA, macB, portMac;
+  net::ProtocolStats route;
+  metrics::ProbeServiceStats probe;
+  harness::NodeByteCounters bytes;
+  radioA.framesCorrupted = 3;
+  radioB.framesCorrupted = 39;
+  portRadio.framesCorrupted = 100;
+  radioA.framesRateCorrupted = 5;
+  portRadio.framesRateCorrupted = 2;
+  macA.enqueued = 7;
+  portMac.enqueued = 1;
+  route.dataOriginated = 11;
+  bytes.probeBytesReceived = 13;
 
-  EXPECT_EQ(registry.nameCount(), 2u);
-  EXPECT_EQ(registry.value("phy.frames_corrupted"), 42u);
-  EXPECT_EQ(registry.value("mac.enqueued"), 7u);
-  EXPECT_EQ(registry.value("no.such.counter"), 0u);
+  const auto fill = [&](harness::Counters& counters) {
+    counters.add({&radioA, &macA, &route, &probe, &bytes, &sink}, 0);
+    counters.add({&radioB, &macB, &route, &probe, &bytes, &sink}, 1);
+    // A gateway port: phy and mac only.
+    counters.add({&portRadio, &portMac, nullptr, nullptr, nullptr, nullptr}, 1);
+  };
+  harness::Counters fixed{2, /*rateAware=*/false};
+  fill(fixed);
 
-  a = 100;  // live slots: value() reads the current counter state
-  EXPECT_EQ(registry.value("phy.frames_corrupted"), 139u);
+  EXPECT_EQ(fixed.value("phy.frames_corrupted"), 142u);
+  EXPECT_EQ(fixed.value("phy.frames_corrupted", 0), 3u);
+  EXPECT_EQ(fixed.value("phy.frames_corrupted", 1), 139u);
+  EXPECT_EQ(fixed.value("mac.enqueued"), 8u);
+  EXPECT_EQ(fixed.value("mac.enqueued", 1), 1u);
+  // Ports carry no routing layer: only the two nodes count.
+  EXPECT_EQ(fixed.value("route.data_originated"), 22u);
+  EXPECT_EQ(fixed.value("route.data_originated", 1), 11u);
+  EXPECT_EQ(fixed.value("app.rx_bytes.probe"), 26u);
+  EXPECT_EQ(fixed.value("app.packets_delivered"), 0u);
+  EXPECT_EQ(fixed.value("no.such.counter"), 0u);
+  EXPECT_EQ(fixed.sum(&net::ProtocolStats::dataOriginated, 0), 11u);
 
-  const auto snapshot = registry.snapshot();
-  ASSERT_EQ(snapshot.size(), 2u);
-  EXPECT_EQ(snapshot[0].first, "mac.enqueued");  // name-sorted
-  EXPECT_EQ(snapshot[1].first, "phy.frames_corrupted");
-  EXPECT_EQ(snapshot[1].second, 139u);
+  radioA.framesCorrupted = 100;  // live fields: value() reads current state
+  EXPECT_EQ(fixed.value("phy.frames_corrupted"), 239u);
+
+  // The rate-aware row is listed only on rate-aware runs.
+  EXPECT_EQ(fixed.value("phy.frames_rate_corrupted"), 0u);
+  harness::Counters rateAware{2, /*rateAware=*/true};
+  fill(rateAware);
+  EXPECT_EQ(rateAware.value("phy.frames_rate_corrupted"), 7u);
+  EXPECT_EQ(rateAware.value("phy.frames_rate_corrupted", 1), 2u);
+
+  // A rate-aware snapshot walks the whole table: strictly name-sorted.
+  const auto rateSnapshot = rateAware.snapshot();
+  const auto fixedSnapshot = fixed.snapshot();
+  ASSERT_EQ(rateSnapshot.size(), 44u);
+  ASSERT_EQ(fixedSnapshot.size(), 43u);
+  for (std::size_t i = 0; i < rateSnapshot.size(); ++i) {
+    if (i > 0) {
+      EXPECT_LT(rateSnapshot[i - 1].first, rateSnapshot[i].first) << i;
+    }
+    EXPECT_EQ(rateSnapshot[i].second, rateAware.value(rateSnapshot[i].first));
+  }
+  for (const auto& [name, value] : fixedSnapshot) {
+    EXPECT_NE(name, "phy.frames_rate_corrupted");
+    EXPECT_EQ(value, fixed.value(name));
+  }
 }
 
 // ------------------------------------------------------------ event strings
@@ -239,6 +285,46 @@ TEST(TraceReplay, RecomputesHarnessMetricsBitForBit) {
     EXPECT_EQ(summary.deliversWithoutBirth, 0u);
     std::remove(path.c_str());
   }
+}
+
+TEST(TraceReplay, TamperedCounterLineFailsTheRecordAudit) {
+  const std::string path = testing::TempDir() + "trace_counters.jsonl";
+  ScenarioConfig config = smallScenario(9);
+  config.protocol = ProtocolSpec::with(metrics::MetricKind::Etx);
+  config.seed = 9;
+  config.tracePath = path;
+  harness::Simulation sim{config};
+  sim.run();
+
+  const trace::TraceReadResult read = trace::readTraceFile(path);
+  ASSERT_TRUE(read.trace.has_value()) << read.error;
+  const trace::TraceSummary clean = trace::summarizeTrace(*read.trace);
+  EXPECT_TRUE(clean.counterMismatches.empty())
+      << clean.counterMismatches.front().counter;
+
+  // Bump one counter line by one; nothing else changes.
+  std::string bytes = slurp(path);
+  const std::string key = R"({"counter":"mac.enqueued","value":)";
+  const std::size_t at = bytes.find(key);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t digits = at + key.size();
+  const std::size_t end = bytes.find('}', digits);
+  const std::uint64_t enqueued = std::stoull(bytes.substr(digits, end - digits));
+  ASSERT_GT(enqueued, 0u);
+  bytes.replace(digits, end - digits, std::to_string(enqueued + 1));
+  {
+    std::ofstream out{path, std::ios::binary | std::ios::trunc};
+    out << bytes;
+  }
+
+  const trace::TraceReadResult tampered = trace::readTraceFile(path);
+  ASSERT_TRUE(tampered.trace.has_value()) << tampered.error;
+  const trace::TraceSummary summary = trace::summarizeTrace(*tampered.trace);
+  ASSERT_EQ(summary.counterMismatches.size(), 1u);
+  EXPECT_EQ(summary.counterMismatches[0].counter, "mac.enqueued");
+  EXPECT_EQ(summary.counterMismatches[0].value, enqueued + 1);
+  EXPECT_EQ(summary.counterMismatches[0].records, enqueued);
+  std::remove(path.c_str());
 }
 
 // ------------------------------------------------------------ sweeps

@@ -120,6 +120,12 @@ int runSummary(int argc, char** argv) {
                   s.deliversWithoutBirth);
       failed = true;
     }
+    for (const auto& m : s.counterMismatches) {
+      std::printf("  WARNING: counter %s = %" PRIu64 " but the trace has %"
+                  PRIu64 " matching records\n",
+                  m.counter.c_str(), m.value, m.records);
+      failed = true;
+    }
   }
   return failed ? 1 : 0;
 }
