@@ -1,6 +1,8 @@
 #include "mesh/fault/fault_schedule.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "mesh/common/assert.hpp"
 
@@ -41,7 +43,8 @@ FaultSchedule FaultSchedule::generate(const ChurnSpec& spec, SimTime horizon,
   MESH_REQUIRE(horizon > SimTime::zero());
   FaultSchedule schedule;
   if (nodes.empty() || horizon <= spec.warmup) return schedule;
-  const double activeS = (horizon - spec.warmup).toSeconds();
+  const double endS =
+      spec.warmup.toSeconds() + (horizon - spec.warmup).toSeconds();
 
   // One independent Poisson process per category, drawn in a fixed
   // category order from forked streams so changing one rate never shifts
@@ -60,8 +63,14 @@ FaultSchedule FaultSchedule::generate(const ChurnSpec& spec, SimTime horizon,
     if (cat.perMinute <= 0.0) continue;
     Rng stream = rng.fork(cat.stream);
     const double meanGapS = 60.0 / cat.perMinute;
+    if (!(endS + meanGapS > endS)) {
+      // Gaps this short stop advancing the clock: the loop would never end.
+      throw std::invalid_argument(std::string{cat.stream} + " rate of " +
+                                  std::to_string(cat.perMinute) +
+                                  "/min is too high to schedule");
+    }
     double tS = spec.warmup.toSeconds() + stream.exponential(meanGapS);
-    while (tS < spec.warmup.toSeconds() + activeS) {
+    while (tS < endS) {
       FaultEvent event;
       event.kind = cat.kind;
       event.start = SimTime::seconds(tS);

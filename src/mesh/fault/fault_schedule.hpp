@@ -69,7 +69,9 @@ class FaultSchedule {
   // Poisson arrivals per category over [warmup, horizon). Crashes and
   // bursts pick a victim from `nodes`; blackouts pick an unordered pair.
   // `nodes` lists eligible victims (callers exclude sources/members when
-  // crashing them would make the metric meaningless).
+  // crashing them would make the metric meaningless). Throws
+  // std::invalid_argument for a rate whose mean gap cannot advance the
+  // clock at the horizon.
   static FaultSchedule generate(const ChurnSpec& spec, SimTime horizon,
                                 const std::vector<net::NodeId>& nodes,
                                 Rng rng);

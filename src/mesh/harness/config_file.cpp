@@ -187,6 +187,14 @@ class Parser {
     return s;
   }
 
+  // An interference burst power in dBm: finite, positive and finite in
+  // watts, and inside the trace's fixed-point field (offset +300 dBm).
+  static std::optional<double> burstDbm(std::string_view v) {
+    const auto dbm = number(v);
+    if (!dbm || *dbm < -300.0 || *dbm > 300.0) return std::nullopt;
+    return dbm;
+  }
+
   static std::optional<bool> boolean(std::string_view v) {
     const std::string s = lower(v);
     if (s == "true" || s == "1" || s == "yes" || s == "on") return true;
@@ -489,8 +497,11 @@ class Parser {
         error = takeNode();
         if (error.empty()) {
           if (i >= toks.size()) return "burst needs a power in dBm";
-          const auto dbm = number(toks[i]);
-          if (!dbm) return "bad burst power '" + std::string{toks[i]} + "'";
+          const auto dbm = burstDbm(toks[i]);
+          if (!dbm) {
+            return "bad burst power '" + std::string{toks[i]} +
+                   "' (dBm in [-300, 300])";
+          }
           event.powerDbm = *dbm;
           ++i;
         }
@@ -535,7 +546,9 @@ class Parser {
     if (key == "crashes_per_minute" || key == "blackouts_per_minute" ||
         key == "bursts_per_minute") {
       const auto n = number(value);
-      if (!n || *n < 0) return key + " must be non-negative";
+      if (!n || *n < 0 || *n > 1e6) {
+        return key + " must be non-negative, at most 1e6";
+      }
       if (key == "crashes_per_minute") churnOf(config).crashesPerMinute = *n;
       else if (key == "blackouts_per_minute") churnOf(config).blackoutsPerMinute = *n;
       else churnOf(config).burstsPerMinute = *n;
@@ -554,8 +567,8 @@ class Parser {
       return {};
     }
     if (key == "burst_power_dbm") {
-      const auto n = number(value);
-      if (!n) return "burst_power_dbm must be a number";
+      const auto n = burstDbm(value);
+      if (!n) return "burst_power_dbm must be a number in [-300, 300]";
       churnOf(config).burstPowerDbm = *n;
       return {};
     }

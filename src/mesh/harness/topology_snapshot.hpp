@@ -4,9 +4,10 @@
 //
 // Every (seed, protocol) cell of a comparison sweep rebuilds the same
 // world before diverging on protocol state: node placement, the spatial
-// grid, the frozen per-pair {rxIndex, meanPowerW, propagation} link rows,
-// the channel-plan domain assignment and the gateway roster are all pure
-// functions of the topology-relevant config subset. This struct freezes
+// grid, the frozen per-pair link rows (16-byte Channel::CachedLink
+// {meanPowerW, propagationNs, rxIndex}), the channel-plan domain
+// assignment and the gateway roster are all pure functions of the
+// topology-relevant config subset. This struct freezes
 // exactly that subset's outputs behind shared_ptr-to-const so concurrent
 // runs adopt it without copying:
 //

@@ -1,9 +1,13 @@
 #include "mesh/phy/channel.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "mesh/phy/fading.hpp"
 #include "mesh/trace/trace_collector.hpp"
@@ -16,6 +20,19 @@ constexpr double kSpeedOfLight = 299'792'458.0;  // m/s
 // ≈ 28 cells whose union hugs the disk, instead of a 3×3 box with ~2.9× the
 // disk's area. Finer cells prune better but cost more bucket iteration.
 constexpr double kCellsPerReachRadius = 2.0;
+
+// The propagation delay over `distanceM`, rounded as SimTime::seconds
+// rounds it, in the 32 bits of ns a CachedLink holds (up to about 4.29 s,
+// 1.29e9 m). A longer delay is refused, never wrapped.
+std::uint32_t propagationNs(double distanceM) {
+  const double seconds = distanceM / kSpeedOfLight;
+  if (!(seconds >= 0.0 && seconds * 1e9 + 0.5 < 4294967296.0)) {
+    throw std::out_of_range("propagation delay over " +
+                            std::to_string(distanceM) +
+                            " m does not fit 2^32-1 ns");
+  }
+  return static_cast<std::uint32_t>(SimTime::seconds(seconds).ns());
+}
 }  // namespace
 
 Channel::Channel(sim::Simulator& simulator, std::unique_ptr<LinkModel> linkModel,
@@ -150,14 +167,13 @@ void Channel::buildRow(std::size_t tx) {
     if (cacheMeans_) {
       const double distance =
           linkModel_->distanceM(txNode, radios_[rx]->nodeId());
-      row.push_back(CachedLink{static_cast<std::uint32_t>(rx), mean,
-                               SimTime::seconds(distance / kSpeedOfLight)});
+      row.push_back(CachedLink{mean, propagationNs(distance),
+                               static_cast<std::uint32_t>(rx)});
     } else {
       // Mobility: the per-transmission loop re-queries power and distance
       // live, so deriving them here would be dead work — record only the
       // receiver index.
-      row.push_back(
-          CachedLink{static_cast<std::uint32_t>(rx), 0.0, SimTime::zero()});
+      row.push_back(CachedLink{0.0, 0, static_cast<std::uint32_t>(rx)});
     }
   };
 
@@ -346,7 +362,12 @@ void Channel::transmit(Radio& sender, const PhyFramePtr& frame,
 
   FanoutRun& run = acquireRun();
   std::vector<FanoutRun::Delivery>& kept = run.deliveries;
-  std::vector<sim::EventRun::Item>& items = run.items();
+  if (radixScratch_.size() < 2 * row.size()) {
+    radixScratch_.resize(2 * row.size());
+  }
+  std::uint64_t* const keys = radixScratch_.data();
+  std::uint32_t delayOr = 0;
+  std::uint32_t delayAnd = std::numeric_limits<std::uint32_t>::max();
   const bool inlineRayleigh = inlineRayleigh_;
   for (const CachedLink& link : row) {
     Radio& receiver = *radios_[link.rxIndex];
@@ -354,7 +375,7 @@ void Channel::transmit(Radio& sender, const PhyFramePtr& frame,
       continue;
     }
     double powerW;
-    SimTime propagation = link.propagation;
+    std::uint32_t delayNs = link.propagationNs;
     if (!cacheMeans_) {
       // Mobility: positions change between rebuilds, so power and delay
       // are queried live (the cache still bounds the fan-out via its
@@ -372,13 +393,14 @@ void Channel::transmit(Radio& sender, const PhyFramePtr& frame,
     // Signals with no carrier-sense significance are not worth an arrival.
     if (powerW < receiver.params().csThresholdW * 1e-3) continue;
     if (!cacheMeans_) {
-      propagation = SimTime::seconds(
-          linkModel_->distanceM(txNode, receiver.nodeId()) / kSpeedOfLight);
+      delayNs = propagationNs(linkModel_->distanceM(txNode, receiver.nodeId()));
     }
     const bool corrupted = ratePath && perCorrupted(receiver, frame, powerW);
     const auto index = static_cast<std::uint32_t>(kept.size());
     kept.push_back(FanoutRun::Delivery{&receiver, powerW, corrupted});
-    items.push_back(sim::EventRun::Item{now + propagation, 0, index});
+    keys[index] = std::uint64_t{delayNs} << 32 | index;
+    delayOr |= delayNs;
+    delayAnd &= delayNs;
   }
   if (kept.empty()) {
     freeRuns_.push_back(&run);
@@ -388,15 +410,39 @@ void Channel::transmit(Radio& sender, const PhyFramePtr& frame,
 
   // Seqs in row order: the ones a per-receiver schedule would have taken.
   const std::uint64_t firstSeq = simulator_.reserveSeqs(kept.size());
-  for (sim::EventRun::Item& item : items) item.seq = firstSeq + item.index;
-  std::sort(items.begin(), items.end(),
-            [](const sim::EventRun::Item& a, const sim::EventRun::Item& b) {
-              return a.at < b.at || (a.at == b.at && a.seq < b.seq);
-            });
+  orderRun(kept.size(), delayOr ^ delayAnd, now, firstSeq, run.items());
   run.frame = frame;
   run.txNode = txNode;
   run.airtime = airtime;
   simulator_.addRun(run);
+}
+
+void Channel::orderRun(std::size_t n, std::uint32_t varyingBits, SimTime now,
+                       std::uint64_t firstSeq,
+                       std::vector<sim::EventRun::Item>& items) {
+  // The keys entered in kept order, so equal delays already sit in seq
+  // order, and a stable LSD radix sort on the delay bytes yields (time,
+  // seq) order. A byte every delay shares would move nothing and gets no
+  // pass: none when all delays are equal, at most two up to 65 535 ns.
+  std::uint64_t* src = radixScratch_.data();
+  std::uint64_t* dst = src + n;
+  for (int shift = 32; shift < 64; shift += 8) {
+    if (((varyingBits >> (shift - 32)) & 0xFF) == 0) continue;
+    std::array<std::uint32_t, 256> offset{};
+    for (std::size_t i = 0; i < n; ++i) ++offset[(src[i] >> shift) & 0xFF];
+    std::uint32_t start = 0;
+    for (std::uint32_t& o : offset) start += std::exchange(o, start);
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[offset[(src[i] >> shift) & 0xFF]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto index = static_cast<std::uint32_t>(src[i]);
+    const auto delay = static_cast<std::int64_t>(src[i] >> 32);
+    items.push_back(sim::EventRun::Item{now + SimTime::nanoseconds(delay),
+                                        firstSeq + index, index});
+  }
 }
 
 Channel::FanoutRun& Channel::acquireRun() {

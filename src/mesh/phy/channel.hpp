@@ -14,8 +14,10 @@
 // The arrivals of one transmission are not heap events: transmit() draws
 // every receiver's power in row order (RNG order unchanged), reserves one
 // seq per kept receiver in that order — the seqs per-receiver schedules
-// would take — and hands them to the simulator as one pooled EventRun,
-// sorted by (propagation, row index), i.e. by (time, seq).
+// would take — and hands them to the simulator as one pooled EventRun in
+// (propagation, row index) order, i.e. (time, seq) order. That order needs
+// no comparison sort: a stable LSD radix pass per byte of the delay in ns
+// that varies across the run keeps row order among equal delays.
 //
 // A static "reachability" cache keeps the fan-out per transmission bounded:
 // a receiver is skipped when even a generous fading up-swing (configurable
@@ -96,13 +98,17 @@ struct ChannelStats {
 class Channel {
  public:
   // One reachable receiver of a transmitter: the slab the per-transmission
-  // loop iterates. meanPowerW/propagation are only read when the link
+  // loop iterates. meanPowerW/propagationNs are only read when the link
   // model's means are cacheable; under mobility they are sampled live.
+  // The delay is SimTime::seconds(distance / c) in ns, narrowed to 32 bits
+  // (a longer delay throws std::out_of_range), so a row packs into 16
+  // bytes.
   struct CachedLink {
-    std::uint32_t rxIndex;
     double meanPowerW;
-    SimTime propagation;
+    std::uint32_t propagationNs;
+    std::uint32_t rxIndex;
   };
+  static_assert(sizeof(CachedLink) == 16);
 
   // An immutable freeze of one channel's built reachability state: the
   // per-transmitter receiver rows plus the spatial-index state needed to
@@ -269,6 +275,10 @@ class Channel {
   };
 
   FanoutRun& acquireRun();
+  // Fills `items` with one item per key of radixScratch_[0, n) in (delay,
+  // index) order; see the file comment.
+  void orderRun(std::size_t n, std::uint32_t varyingBits, SimTime now,
+                std::uint64_t firstSeq, std::vector<sim::EventRun::Item>& items);
 
   sim::Simulator& simulator_;
   std::unique_ptr<LinkModel> linkModel_;
@@ -297,6 +307,9 @@ class Channel {
   std::shared_ptr<const ReachSnapshot> shared_;
   std::vector<std::unique_ptr<FanoutRun>> runs_;
   std::vector<FanoutRun*> freeRuns_;
+  // transmit()'s sort keys, (delay ns << 32 | kept index), and the radix
+  // passes' ping-pong half: 2 × the longest row seen, never shrunk.
+  std::vector<std::uint64_t> radixScratch_;
 
   // --- spatial index state (see DESIGN §8.5) ------------------------------
   bool spatialActive_{false};               // last build used the grid

@@ -29,17 +29,7 @@ void Radio::setFailed(bool failed) {
   if (failed == failed_) return;
   if (failed && lockedActive_) {
     // The reception in progress dies with the radio.
-    lockedActive_ = false;
-    lockedCorrupted_ = false;
-    ++stats_.framesLostFailed;
-    if (trace_ != nullptr) {
-      const auto it = std::find_if(
-          arrivals_.begin(), arrivals_.end(),
-          [this](const Arrival& a) { return a.seq == lockedSeq_; });
-      if (it != arrivals_.end()) {
-        traceDrop(it->frame, trace::DropReason::FaultNodeDown);
-      }
-    }
+    dropLock(stats_.framesLostFailed, trace::DropReason::FaultNodeDown);
   }
   failed_ = failed;
   // An in-flight own transmission is not truncated: its energy is already
@@ -57,8 +47,7 @@ void Radio::injectNoise(double powerW, SimTime duration) {
   sync();
   const std::uint64_t seq = simulator_.reserveSeq();
   const SimTime end = simulator_.now() + duration;
-  arrivals_.push_back(
-      Arrival{seq, nullptr, powerW, end, net::kInvalidNode, /*lazy=*/true});
+  arrivals_.push_back(Arrival{seq, powerW, end, /*lazy=*/true});
   inbandPowerW_ += powerW;
   if (end < lazyEnd_) {  // seqs only grow: an equal end keeps the older one
     lazyEnd_ = end;
@@ -238,6 +227,14 @@ void Radio::traceDrop(const PhyFramePtr& frame, trace::DropReason reason) {
                static_cast<std::uint32_t>(frame->sizeBytes()), reason);
 }
 
+void Radio::dropLock(std::uint64_t& lost, trace::DropReason reason) {
+  lockedActive_ = false;
+  lockedCorrupted_ = false;
+  ++lost;
+  if (trace_ != nullptr) traceDrop(lockedFrame_, reason);
+  lockedFrame_ = nullptr;
+}
+
 void Radio::transmit(const PhyFramePtr& frame, SimTime airtime) {
   MESH_REQUIRE(channel_ != nullptr);
   MESH_REQUIRE(!isTransmitting());
@@ -254,17 +251,7 @@ void Radio::transmit(const PhyFramePtr& frame, SimTime airtime) {
   // scheduled with zero jitter can race a reception; model the loss rather
   // than forbid it.
   if (lockedActive_) {
-    lockedActive_ = false;
-    lockedCorrupted_ = false;
-    ++stats_.framesMissedBusy;
-    if (trace_ != nullptr) {
-      const auto it = std::find_if(
-          arrivals_.begin(), arrivals_.end(),
-          [this](const Arrival& a) { return a.seq == lockedSeq_; });
-      if (it != arrivals_.end()) {
-        traceDrop(it->frame, trace::DropReason::PhyRadioBusy);
-      }
-    }
+    dropLock(stats_.framesMissedBusy, trace::DropReason::PhyRadioBusy);
   }
   txUntil_ = simulator_.now() + airtime;
   txFrame_ = frame;
@@ -306,8 +293,7 @@ void Radio::beginArrival(const PhyFramePtr& frame, net::NodeId transmitter,
   // The end's seq is taken here, where an end event would be scheduled.
   const std::uint64_t seq = simulator_.reserveSeq();
   const SimTime end = simulator_.now() + airtime;
-  arrivals_.push_back(Arrival{seq, frame, rxPowerW, end, transmitter,
-                              /*lazy=*/true, perCorrupted});
+  arrivals_.push_back(Arrival{seq, rxPowerW, end, /*lazy=*/true});
   // Appending extends the left-fold sum by one term: still bit-exact.
   inbandPowerW_ += rxPowerW;
 
@@ -317,6 +303,9 @@ void Radio::beginArrival(const PhyFramePtr& frame, net::NodeId transmitter,
     lockedActive_ = true;
     lockedSeq_ = seq;
     lockedCorrupted_ = false;
+    lockedFrame_ = frame;
+    lockedTransmitter_ = transmitter;
+    lockedPerCorrupted_ = perCorrupted;
     arrivals_.back().lazy = false;
     simulator_.scheduleReservedAt(end, seq, [this, seq] { endArrival(seq); });
     reevaluateLockedSinr();
@@ -349,33 +338,34 @@ void Radio::endArrival(std::uint64_t seq) {
   const auto it = std::find_if(arrivals_.begin(), arrivals_.end(),
                                [seq](const Arrival& a) { return a.seq == seq; });
   MESH_ASSERT(it != arrivals_.end() && !it->lazy);
-  const Arrival arrival = std::move(*it);
+  const double rxPowerW = it->rxPowerW;
   arrivals_.erase(it);
   resumInbandPower();
 
   if (lockedActive_ && lockedSeq_ == seq) {
     lockedActive_ = false;
+    const PhyFramePtr frame = std::move(lockedFrame_);  // empties the lock
     if (lockedCorrupted_) {
       ++stats_.framesCorrupted;
       if (trace_ != nullptr) {
-        traceDrop(arrival.frame, trace::DropReason::PhyCollision);
+        traceDrop(frame, trace::DropReason::PhyCollision);
       }
-    } else if (arrival.perCorrupted) {
+    } else if (lockedPerCorrupted_) {
       // The channel's SNR→PER model failed this frame at its chosen rate.
       ++stats_.framesRateCorrupted;
       if (trace_ != nullptr) {
-        traceDrop(arrival.frame, trace::DropReason::PhyRateDecode);
+        traceDrop(frame, trace::DropReason::PhyRateDecode);
       }
     } else {
       ++stats_.framesDelivered;
-      stats_.bytesDelivered += arrival.frame->sizeBytes();
+      stats_.bytesDelivered += frame->sizeBytes();
       if (rxCallback_) {
         RxInfo info;
-        info.transmitter = arrival.transmitter;
-        info.rxPowerW = arrival.rxPowerW;
+        info.transmitter = lockedTransmitter_;
+        info.rxPowerW = rxPowerW;
         const double denom = params_.noiseFloorW + interferenceFor(seq);
-        info.sinr = arrival.rxPowerW / denom;
-        rxCallback_(arrival.frame, info);
+        info.sinr = rxPowerW / denom;
+        rxCallback_(frame, info);
       }
     }
     lockedCorrupted_ = false;

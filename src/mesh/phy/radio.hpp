@@ -174,17 +174,14 @@ class Radio {
                     bool perCorrupted = false);
 
  private:
-  // Identified by its end's reserved seq. `frame` is null for injected
-  // noise bursts, which carry energy but can never be locked onto or
-  // decoded.
+  // Identified by its end's reserved seq. Only energy: the frame of the
+  // one arrival that can still be decoded is held by the lock
+  // (lockedFrame_).
   struct Arrival {
     std::uint64_t seq;
-    PhyFramePtr frame;
     double rxPowerW;
     SimTime end;
-    net::NodeId transmitter;
     bool lazy;  // no end event: retired by sync()
-    bool perCorrupted{false};
   };
 
   // Retires every lazy end the executing event has passed. Inline early
@@ -206,6 +203,9 @@ class Radio {
   void endTransmit();
   void onCrossing();
   void traceDrop(const PhyFramePtr& frame, trace::DropReason reason);
+  // Ends the lock early (transmit, failure): the frame is lost, counted in
+  // `lost` and traced with `reason`.
+  void dropLock(std::uint64_t& lost, trace::DropReason reason);
 
   double interferenceFor(std::uint64_t excludedSeq) const;
   // Exact re-sum of inbandPowerW_ in vector order; also refreshes the
@@ -240,6 +240,11 @@ class Radio {
   std::uint64_t lockedSeq_{0};
   bool lockedCorrupted_{false};
   bool failed_{false};  // fault injection: radio powered off
+  // The locked arrival's frame, sender and per-rate verdict; the frame is
+  // released when the lock ends.
+  PhyFramePtr lockedFrame_;
+  net::NodeId lockedTransmitter_{net::kInvalidNode};
+  bool lockedPerCorrupted_{false};
 
   SimTime txUntil_{SimTime::zero()};
   PhyFramePtr txFrame_;  // in-flight own frame, for the TxEnd record

@@ -182,7 +182,21 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"[traffic]\nrate_pps = 1e12\n", "rate_pps must be"},
         BadCase{"[protocol]\nprobe_rate = 1e30\n", "probe_rate must be"},
         BadCase{"[faults]\nevent = crash 1 @ inf\n", "start time must be"},
-        BadCase{"[faults]\nwarmup_s = 1e300\n", "warmup_s must be"}));
+        BadCase{"[faults]\nwarmup_s = 1e300\n", "warmup_s must be"},
+        // A churn rate whose gaps stop advancing the clock used to hang the
+        // run; a burst power that underflows to 0 W used to abort it.
+        BadCase{"[faults]\ncrashes_per_minute = 1e18\n",
+                "line 2: crashes_per_minute must be non-negative, at most 1e6"},
+        BadCase{"[faults]\nblackouts_per_minute = 2e6\n",
+                "line 2: blackouts_per_minute must be"},
+        BadCase{"[faults]\nbursts_per_minute = 1e300\n",
+                "line 2: bursts_per_minute must be"},
+        BadCase{"[faults]\nburst_power_dbm = -100000\n",
+                "line 2: burst_power_dbm must be"},
+        BadCase{"[faults]\nburst_power_dbm = 1e6\n",
+                "line 2: burst_power_dbm must be"},
+        BadCase{"[faults]\nevent = burst 1 -100000 @ 5 +1\n",
+                "line 2: bad burst power '-100000'"}));
 
 TEST(ConfigFile, WholeNumbersKeepEveryBit) {
   const auto result = parseScenarioConfig(

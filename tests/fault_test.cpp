@@ -10,6 +10,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -153,6 +154,20 @@ TEST(FaultSchedule, ChurnGenerationIsSeedDeterministicAndBounded) {
   EXPECT_GT(crashes, 0u);
   EXPECT_GT(blackouts, 0u);
   EXPECT_GT(bursts, 0u);
+}
+
+TEST(FaultSchedule, RateWhoseGapCannotAdvanceTheClockIsRefused) {
+  // A mean gap of 6e-17 s added to ~30 s leaves the clock where it was:
+  // generation must refuse instead of looping forever.
+  ChurnSpec spec;
+  spec.crashesPerMinute = 1e18;
+  const std::vector<net::NodeId> nodes{1, 2, 3};
+  EXPECT_THROW(FaultSchedule::generate(spec, 30_s, nodes, Rng{1}),
+               std::invalid_argument);
+  spec.crashesPerMinute = 6.0;
+  spec.burstsPerMinute = 1e18;
+  EXPECT_THROW(FaultSchedule::generate(spec, 30_s, nodes, Rng{1}),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------------ fault records

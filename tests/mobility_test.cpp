@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "mesh/harness/scenario.hpp"
+#include "mesh/phy/channel.hpp"
+#include "mesh/phy/frame.hpp"
 #include "mesh/phy/link_model.hpp"
 #include "mesh/phy/mobility.hpp"
 
@@ -208,6 +213,47 @@ TEST(MobileLinkModel, ChannelCountsLiveVsCachedRebuilds) {
   EXPECT_EQ(parked.liveRebuilds, 0u);
   EXPECT_EQ(parked.reachabilityRebuilds,
             parked.cachedRebuilds + parked.liveRebuilds);
+}
+
+TEST(MobileLinkModel, LiveDelaysBeginInDelayThenRowOrder) {
+  // Under mobility every delay is queried live per transmission. Nodes 1,
+  // 3 and 4 sit exactly 70 m from the transmitter, 2 and 6 exactly 50 m:
+  // equal delays must begin in row (receiver index) order. Every delay is
+  // below 256 ns, so one radix pass orders them and a pass that reversed
+  // ties would show.
+  const std::vector<Vec2> positions{{0, 0},   {70, 0},   {30, 40}, {0, 70},
+                                    {42, 56}, {15, 20}, {-40, -30}};
+  sim::Simulator simulator;
+  const PhyParams params;
+  auto model = std::make_unique<MobileGeometricLinkModel>(
+      simulator, params, std::make_unique<StaticMobility>(positions),
+      std::make_unique<TwoRayGroundModel>(), std::make_unique<NoFading>());
+  Channel channel{simulator, std::move(model), Rng{5}.fork("channel")};
+  channel.enableReachabilityRefresh(200_ms);
+  std::vector<std::unique_ptr<Radio>> radios;
+  std::vector<std::pair<net::NodeId, SimTime>> begins;
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    radios.push_back(std::make_unique<Radio>(
+        simulator, static_cast<net::NodeId>(i), params));
+    channel.attach(*radios.back());
+    Radio& radio = *radios.back();
+    radio.setMediumCallback([&begins, &radio, &simulator](bool busy) {
+      if (busy) begins.emplace_back(radio.nodeId(), simulator.now());
+    });
+    radio.setMediumListening(i != 0);
+  }
+  radios[0]->transmit(makeFrame(std::vector<std::uint8_t>(100, 0), nullptr),
+                      params.frameAirtime(100));
+  simulator.run(1_s);
+
+  const auto at = [](double distanceM) {
+    return SimTime::seconds(distanceM / 299'792'458.0);
+  };
+  const std::vector<std::pair<net::NodeId, SimTime>> expected{
+      {5, at(25)}, {2, at(50)}, {6, at(50)},
+      {1, at(70)}, {3, at(70)}, {4, at(70)}};
+  EXPECT_EQ(begins, expected);
+  EXPECT_EQ(channel.stats().liveRebuilds, 1u);
 }
 
 TEST(MobilityEndToEnd, MobilityErodesMetricFreshness) {

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -481,6 +483,87 @@ TEST(Channel, StatsCountTransmissions) {
   });
   rig.simulator.run();
   EXPECT_EQ(rig.channel->stats().transmissions, 2u);
+}
+
+// Every pair at one strong mean power and no fading; node 0's link to
+// node i is distanceFromZeroM[i] long. With `cacheable` false the channel
+// queries each delay live per transmission, as under mobility.
+class DelayTableLinkModel final : public LinkModel {
+ public:
+  DelayTableLinkModel(std::vector<double> distanceFromZeroM, bool cacheable)
+      : distances_{std::move(distanceFromZeroM)}, cacheable_{cacheable} {}
+
+  double meanRxPowerW(net::NodeId, net::NodeId) const override { return 1e-6; }
+  double sampleRxPowerW(net::NodeId, net::NodeId, Rng&) const override {
+    return 1e-6;
+  }
+  double distanceM(net::NodeId from, net::NodeId to) const override {
+    return distances_.at(from == 0 ? to : from);
+  }
+  bool meansCacheable() const override { return cacheable_; }
+
+ private:
+  std::vector<double> distances_;
+  bool cacheable_;
+};
+
+std::int64_t delayNs(double distanceM) {
+  return SimTime::seconds(distanceM / 299'792'458.0).ns();
+}
+
+// Node 0 transmits once; returns (node, begin time) in the order the
+// arrivals began, read from each receiver's busy edge.
+std::vector<std::pair<net::NodeId, SimTime>> beginOrder(Rig& rig) {
+  std::vector<std::pair<net::NodeId, SimTime>> begins;
+  for (std::size_t i = 1; i < rig.radios.size(); ++i) {
+    Radio& radio = *rig.radios[i];
+    radio.setMediumCallback([&begins, &radio, &rig](bool busy) {
+      if (busy) begins.emplace_back(radio.nodeId(), rig.simulator.now());
+    });
+    radio.setMediumListening(true);
+  }
+  rig.radios[0]->transmit(rig.frame(), rig.airtime());
+  rig.simulator.run(1_s);
+  return begins;
+}
+
+TEST(Channel, FanoutBeginsFireInDelayThenRowOrder) {
+  // Delays tie in pairs at 0, 500, 1001 and 65 712 ns. The last needs a
+  // third radix byte: its low 16 bits (176) alone would sort it before
+  // 500 ns. Equal delays keep row (receiver index) order.
+  const std::vector<double> distances{0,  19700, 300,   150, 300,
+                                      10, 150,   19700, 0};
+  for (const bool cacheable : {true, false}) {
+    SCOPED_TRACE(cacheable ? "cached rows" : "live delays");
+    Rig rig{std::make_unique<DelayTableLinkModel>(distances, cacheable),
+            distances.size()};
+    const auto begins = beginOrder(rig);
+    ASSERT_EQ(begins.size(), distances.size() - 1);
+    std::vector<std::pair<net::NodeId, SimTime>> expected;
+    const std::vector<net::NodeId> order{8, 5, 3, 6, 2, 4, 1, 7};
+    for (const net::NodeId node : order) {
+      expected.emplace_back(node,
+                            SimTime::nanoseconds(delayNs(distances[node])));
+    }
+    EXPECT_EQ(delayNs(19700), 65712);
+    EXPECT_EQ(begins, expected);
+  }
+}
+
+TEST(Channel, DelayBeyondThirtyTwoBitsOfNsIsRefused) {
+  // 2e9 m is about 6.7 s of flight: more than 2^32 - 1 ns.
+  const std::vector<double> distances{0, 100, 2e9};
+  Rig cached{std::make_unique<DelayTableLinkModel>(distances, true), 3};
+  try {
+    cached.channel->rebuildReachabilityNow();
+    ADD_FAILURE() << "the row build must refuse the delay";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string{e.what()}.find("does not fit"), std::string::npos)
+        << e.what();
+  }
+  Rig live{std::make_unique<DelayTableLinkModel>(distances, false), 3};
+  EXPECT_THROW(live.radios[0]->transmit(live.frame(), live.airtime()),
+               std::out_of_range);
 }
 
 }  // namespace
