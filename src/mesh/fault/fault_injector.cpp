@@ -46,8 +46,8 @@ void FaultInjector::apply(const FaultEvent& event) {
       ++stats_.crashes;
       phy::Radio* radio = channel_.findRadio(event.node);
       MESH_REQUIRE(radio != nullptr);
-      // setFailed notifies the channel itself (invalidateRadio), which
-      // rebuilds only the affected reachability rows.
+      // setFailed reports the flip to the channel itself, whose fan-out
+      // then skips the radio; no reachability row changes.
       radio->setFailed(true);
       break;
     }

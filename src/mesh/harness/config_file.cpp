@@ -111,6 +111,16 @@ class Parser {
           << config.traffic.start.toSeconds() << ")";
       return fail(std::max(durationLine_, startLine_), out.str());
     }
+    const bool anySource =
+        std::any_of(config.groups.begin(), config.groups.end(),
+                    [](const GroupSpec& spec) { return !spec.sources.empty(); });
+    if (anySource && config.traffic.stop <= config.traffic.start) {
+      std::ostringstream out;
+      out << "stop_s (" << config.traffic.stop.toSeconds()
+          << ") must be greater than start_s ("
+          << config.traffic.start.toSeconds() << ")";
+      return fail(std::max(startLine_, stopLine_), out.str());
+    }
     const auto outOfRange = [&](const std::vector<net::NodeId>& ids) {
       return std::any_of(ids.begin(), ids.end(), [&](net::NodeId id) {
         return id >= config.nodeCount;
@@ -397,6 +407,7 @@ class Parser {
       const auto n = seconds(value);
       if (!n || *n <= 0) return "stop_s must be positive and at most 1e9";
       config.traffic.stop = SimTime::seconds(*n);
+      stopLine_ = line_;
       return {};
     }
     return "unknown [traffic] key '" + key + "'";
@@ -615,6 +626,7 @@ class Parser {
   // (0: the key was never set).
   std::size_t durationLine_{0};
   std::size_t startLine_{0};
+  std::size_t stopLine_{0};
   struct GroupLines {
     std::size_t sources{0};
     std::size_t members{0};

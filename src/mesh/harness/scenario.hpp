@@ -374,8 +374,8 @@ class Simulation {
   std::vector<std::unique_ptr<fault::RecoveryAnalyzer>> recovery_;
   std::vector<Vec2> positions_;
   // Non-null when constructed by adoption; keeps the shared world alive
-  // for the channels' row views (they also hold their own ReachSnapshot
-  // refs, but positions/plan copies here read from it during build).
+  // (the channels also hold their own ReachSnapshot refs, but
+  // positions/plan copies here read from it during build).
   TopologySnapshotPtr adopted_;
 };
 

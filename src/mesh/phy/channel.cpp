@@ -56,6 +56,7 @@ void Channel::attach(Radio& radio) {
   (void)it;
   radios_.push_back(&radio);
   radio.attachChannel(this, radios_.size() - 1);
+  if (radio.failed()) ++failedRadios_;
 }
 
 void Channel::overrideLinkLoss(net::NodeId a, net::NodeId b, double loss) {
@@ -75,54 +76,8 @@ Radio* Channel::findRadio(net::NodeId node) const {
   return it == nodeIndex_.end() ? nullptr : radios_[it->second];
 }
 
-void Channel::invalidateReachability() {
-  if (!reachabilityBuilt_) {
-    // A full rebuild is already pending; this invalidation rides along.
-    ++stats_.coalescedInvalidations;
-    return;
-  }
-  reachabilityBuilt_ = false;
-  // A full rebuild re-derives every row, so pending per-radio work is
-  // absorbed rather than coalesced (it still happens — just all at once).
-  dirtyRadios_.clear();
-  std::fill(dirtyMask_.begin(), dirtyMask_.end(), std::uint64_t{0});
-}
-
-void Channel::invalidateRadio(net::NodeId node) {
-  if (!reachabilityBuilt_) {
-    ++stats_.coalescedInvalidations;
-    return;
-  }
-  // Incremental row rebuilds are exact only when build-time positions are
-  // still authoritative: static geometry (cacheMeans_) indexed by the grid.
-  // Mobility and non-geometric models fall back to a full rebuild (their
-  // periodic refresh / full scan already bounds the cost).
-  const auto it = nodeIndex_.find(node);
-  if (!spatialActive_ || !cacheMeans_ || it == nodeIndex_.end()) {
-    invalidateReachability();
-    return;
-  }
-  // O(1) membership test via the dirty bitmap (sized at build time, and
-  // attach is closed after the first build) — a linear scan of
-  // dirtyRadios_ would go quadratic under heavy churn at n >= 2000.
-  const std::uint32_t index = it->second;
-  const std::size_t word = index >> 6;
-  const std::uint64_t bit = std::uint64_t{1} << (index & 63);
-  MESH_ASSERT(word < dirtyMask_.size());
-  if ((dirtyMask_[word] & bit) != 0) {
-    ++stats_.coalescedInvalidations;  // already dirty: same rows, one pass
-    return;
-  }
-  dirtyMask_[word] |= bit;
-  dirtyRadios_.push_back(index);
-}
-
 void Channel::prepareSpatialIndex() {
   spatialActive_ = false;
-  // A full (re)build derives its own grid over live model positions; any
-  // adopted snapshot's frozen pair stops being authoritative here.
-  activeGrid_ = &grid_;
-  activePositions_ = &gridPositions_;
   if (!linkModel_->spatiallyIndexable()) return;
 
   // The pruning power floor must be valid for every transmitter: use the
@@ -148,20 +103,16 @@ void Channel::prepareSpatialIndex() {
 }
 
 void Channel::buildRow(std::size_t tx) {
-  // Copy-on-write: the rebuilt row always lands in channel-local storage
-  // and the view is repointed — a shared snapshot row is never written.
-  auto& row = reachable_[tx];
-  rowView_[tx] = &row;
+  // Failure plays no part here: a failed radio sends nothing, and
+  // transmit() skips it as a receiver, so the rows stay valid across every
+  // fail and recover.
+  Row& row = localRows_[tx];
   row.clear();
-  // A failed radio keeps an empty receiver set (it cannot radiate) and
-  // never appears in anyone else's set (it cannot hear). Radio::setFailed
-  // invalidates the affected rows so this stays current.
-  if (radios_[tx]->failed()) return;
   const double csThreshold = radios_[tx]->params().csThresholdW;
   const net::NodeId txNode = radios_[tx]->nodeId();
 
   const auto consider = [&](std::size_t rx) {
-    if (rx == tx || radios_[rx]->failed()) return;
+    if (rx == tx) return;
     const double mean = linkModel_->meanRxPowerW(txNode, radios_[rx]->nodeId());
     if (mean * fadingHeadroom_ < csThreshold) return;
     if (cacheMeans_) {
@@ -183,10 +134,8 @@ void Channel::buildRow(std::size_t tx) {
     // set bits restores global ascending index order in O(k + n/64) —
     // measurably cheaper than a per-row sort — so the row, and every
     // downstream RNG draw, is bit-identical to the full scan below.
-    const SpatialGrid& grid = *activeGrid_;
-    const std::vector<Vec2>& positions = *activePositions_;
     rowScratch_.clear();
-    grid.candidatesWithin(positions[tx], reachRadiusM_, rowScratch_);
+    grid_.candidatesWithin(gridPositions_[tx], reachRadiusM_, rowScratch_);
     rowMask_.assign((radios_.size() + 63) / 64, 0);
     for (const std::uint32_t rx : rowScratch_) {
       rowMask_[rx >> 6] |= std::uint64_t{1} << (rx & 63);
@@ -195,13 +144,13 @@ void Channel::buildRow(std::size_t tx) {
     // contract (mean >= floor implies distance <= reach) makes a squared-
     // distance precheck exact, so those candidates cost one multiply
     // instead of a virtual propagation evaluation.
-    const Vec2 txPos = positions[tx];
+    const Vec2 txPos = gridPositions_[tx];
     const double reach2 = reachRadiusM_ * reachRadiusM_;
     for (std::size_t w = 0; w < rowMask_.size(); ++w) {
       for (std::uint64_t bits = rowMask_[w]; bits != 0; bits &= bits - 1) {
         const auto rx =
             (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
-        if (txPos.distanceSquaredTo(positions[rx]) > reach2) continue;
+        if (txPos.distanceSquaredTo(gridPositions_[rx]) > reach2) continue;
         consider(rx);
       }
     }
@@ -212,14 +161,12 @@ void Channel::buildRow(std::size_t tx) {
 
 void Channel::buildReachability() {
   prepareSpatialIndex();
-  reachable_.resize(radios_.size());
-  rowView_.resize(radios_.size());
-  for (std::size_t tx = 0; tx < radios_.size(); ++tx) buildRow(tx);
-  // Every row now lives in channel-local storage; a previously adopted
-  // snapshot has nothing left to contribute.
+  // Every row is re-derived into channel-local storage; a previously
+  // adopted snapshot has nothing left to contribute and is never written.
   shared_.reset();
-  dirtyRadios_.clear();  // a full build supersedes any pending row work
-  dirtyMask_.assign((radios_.size() + 63) / 64, 0);
+  rows_ = &localRows_;
+  localRows_.resize(radios_.size());
+  for (std::size_t tx = 0; tx < radios_.size(); ++tx) buildRow(tx);
   reachabilityBuilt_ = true;
   attachClosed_ = true;
   reachabilityBuiltAt_ = simulator_.now();
@@ -231,61 +178,19 @@ void Channel::buildReachability() {
   }
 }
 
-void Channel::applyDirtyRadios() {
-  MESH_ASSERT(spatialActive_ && cacheMeans_);
-  // The affected rows are exactly: each dirty radio's own row, plus every
-  // row whose transmitter lies within the reach radius of a dirty radio —
-  // no other row can gain or lose the dirty radio (pairs beyond the reach
-  // radius always fail the mean-power predicate). Positions are the
-  // build-time snapshot, which static geometry keeps authoritative.
-  std::vector<std::uint32_t>& affected = dirtyScratch_;
-  affected.clear();
-  for (const std::uint32_t dirty : dirtyRadios_) {
-    affected.push_back(dirty);
-    activeGrid_->candidatesWithin((*activePositions_)[dirty], reachRadiusM_,
-                                  affected);
-  }
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()),
-                 affected.end());
-  for (const std::uint32_t row : affected) buildRow(row);
-  for (const std::uint32_t dirty : dirtyRadios_) {
-    dirtyMask_[dirty >> 6] &= ~(std::uint64_t{1} << (dirty & 63));
-  }
-  dirtyRadios_.clear();
-  ++stats_.incrementalRebuilds;
-  stats_.rowsRebuilt += affected.size();
-}
-
 std::shared_ptr<const Channel::ReachSnapshot> Channel::freezeAndShare() {
   MESH_REQUIRE(cacheMeans_);
   MESH_REQUIRE(refreshInterval_.isZero());
   MESH_REQUIRE(shared_ == nullptr);
-  // Freeze the settled state: force the first build or flush pending
-  // per-row work, exactly what the next transmission would have done.
-  if (!reachabilityBuilt_) {
-    buildReachability();
-  } else if (!dirtyRadios_.empty()) {
-    applyDirtyRadios();
-  }
+  if (!reachabilityBuilt_) buildReachability();
   auto snapshot = std::make_shared<ReachSnapshot>();
-  snapshot->rows = std::move(reachable_);
-  snapshot->grid = std::move(grid_);
-  snapshot->positions = std::move(gridPositions_);
-  snapshot->reachRadiusM = reachRadiusM_;
+  snapshot->rows = std::move(localRows_);
   snapshot->spatialActive = spatialActive_;
-  // Adopt the frozen state ourselves: the builder run reads the same rows
-  // through the same shared path every adopter uses, at zero copy cost.
-  reachable_.assign(snapshot->rows.size(), {});
-  gridPositions_.clear();
-  grid_ = SpatialGrid{};
+  localRows_.clear();
+  // Adopt the frozen rows ourselves: the builder run reads the same rows
+  // every adopter reads, at zero copy cost.
   shared_ = snapshot;
-  rowView_.resize(snapshot->rows.size());
-  for (std::size_t i = 0; i < snapshot->rows.size(); ++i) {
-    rowView_[i] = &snapshot->rows[i];
-  }
-  activeGrid_ = &snapshot->grid;
-  activePositions_ = &snapshot->positions;
+  rows_ = &snapshot->rows;
   return snapshot;
 }
 
@@ -297,16 +202,8 @@ void Channel::adoptReachability(
   MESH_REQUIRE(refreshInterval_.isZero());
   MESH_REQUIRE(snapshot->rows.size() == radios_.size());
   shared_ = std::move(snapshot);
-  const std::size_t n = radios_.size();
-  reachable_.assign(n, {});
-  rowView_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) rowView_[i] = &shared_->rows[i];
-  activeGrid_ = &shared_->grid;
-  activePositions_ = &shared_->positions;
-  reachRadiusM_ = shared_->reachRadiusM;
+  rows_ = &shared_->rows;
   spatialActive_ = shared_->spatialActive;
-  dirtyRadios_.clear();
-  dirtyMask_.assign((n + 63) / 64, 0);
   reachabilityBuilt_ = true;
   attachClosed_ = true;
   reachabilityBuiltAt_ = simulator_.now();
@@ -341,23 +238,20 @@ void Channel::transmit(Radio& sender, const PhyFramePtr& frame,
       simulator_.now() - reachabilityBuiltAt_ >= refreshInterval_) {
     reachabilityBuilt_ = false;  // stale under mobility: rebuild below
   }
-  if (!reachabilityBuilt_) {
-    buildReachability();
-  } else if (!dirtyRadios_.empty()) {
-    applyDirtyRadios();
-  }
+  if (!reachabilityBuilt_) buildReachability();
   ++stats_.transmissions;
 
   const std::size_t txIndex = sender.channelIndex();
   MESH_ASSERT(txIndex < radios_.size() && radios_[txIndex] == &sender);
   const net::NodeId txNode = sender.nodeId();
   // Per-transmission invariants, hoisted out of the per-delivery loops:
-  // fault-free runs have no loss table, and legacy (code-0) frames never
-  // take a PER draw — the checks inside perCorrupted stay as a backstop
-  // but the fan-out no longer pays them per receiver.
+  // fault-free runs have no failed radio and no loss table, and legacy
+  // (code-0) frames never take a PER draw — the checks inside perCorrupted
+  // stay as a backstop but the fan-out no longer pays them per receiver.
+  const bool checkFailed = failedRadios_ != 0;
   const bool checkLoss = !linkLoss_.empty();
   const bool ratePath = rateTable_ != nullptr && frame->tx.rateAware();
-  const std::vector<CachedLink>& row = *rowView_[txIndex];
+  const Row& row = (*rows_)[txIndex];
   const SimTime now = simulator_.now();
 
   FanoutRun& run = acquireRun();
@@ -371,6 +265,8 @@ void Channel::transmit(Radio& sender, const PhyFramePtr& frame,
   const bool inlineRayleigh = inlineRayleigh_;
   for (const CachedLink& link : row) {
     Radio& receiver = *radios_[link.rxIndex];
+    // A failed receiver is an absent one: skipped before any draw for it.
+    if (checkFailed && receiver.failed()) continue;
     if (checkLoss && lossSuppressed(txNode, receiver.nodeId(), frame)) {
       continue;
     }
@@ -380,7 +276,9 @@ void Channel::transmit(Radio& sender, const PhyFramePtr& frame,
       // Mobility: positions change between rebuilds, so power and delay
       // are queried live (the cache still bounds the fan-out via its
       // headroom).
-      powerW = linkModel_->sampleRxPowerW(txNode, receiver.nodeId(), rng_);
+      powerW = linkModel_->samplePowerGivenMeanW(
+          txNode, receiver.nodeId(),
+          linkModel_->meanRxPowerW(txNode, receiver.nodeId()), rng_);
     } else if (inlineRayleigh) {
       // Hot path: flat slab of precomputed (receiver, mean, delay); with
       // mean-scaled Rayleigh fading even the per-frame sampling draw is

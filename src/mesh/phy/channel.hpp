@@ -38,24 +38,30 @@
 // the model's conservative maximum reach radius, then applies the exact
 // mean-power predicate in ascending radio-index order — so the rows (and
 // every downstream RNG draw) stay bit-identical to the full scan while
-// build cost drops to O(n·k). Single-radio invalidations (fail/recover)
-// rebuild only the affected rows. Models without geometry (the testbed's
+// build cost drops to O(n·k). Models without geometry (the testbed's
 // floor graph) take the full O(n²) pair scan instead.
 //
+// Rows are immutable once built: only a full build writes them (the first
+// one, and every refresh under mobility, which reuses their buffers). A
+// failed radio (Radio::setFailed) stays in every row; transmit() skips it
+// before any draw for it, which gives exactly the draws and arrivals of a
+// row that left it out. Radios report each fail/recover flip, so the skip
+// test is hoisted: fault-free runs pay one compare per transmission.
+//
 // Because a build draws no RNG and (for static geometry) is a pure
-// function of positions and radio parameters, the built state can be
+// function of positions and radio parameters, the built rows can be
 // frozen into an immutable ReachSnapshot and shared across simulations of
-// the same topology (DESIGN §14): freezeAndShare() moves the rows/grid
-// behind a shared_ptr, adoptReachability() splices them into an
-// identically built channel, and the per-row view table makes every
-// mutation copy-on-write — a rebuilt row lands in channel-local storage
-// while untouched rows keep reading the shared slab.
+// the same topology (DESIGN §14): freezeAndShare() moves the rows behind a
+// shared_ptr and adoptReachability() points an identically built channel
+// at them. Nothing writes them afterwards, so sibling runs need no
+// synchronization and never observe each other's faults.
 
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
+#include "mesh/common/assert.hpp"
 #include "mesh/common/rng.hpp"
 #include "mesh/common/simtime.hpp"
 #include "mesh/net/packet.hpp"
@@ -81,13 +87,11 @@ struct ChannelStats {
   std::uint64_t liveRebuilds{0};
   // Deliveries suppressed by a fault-injected link blackout or loss ramp.
   std::uint64_t faultSuppressedDeliveries{0};
-  // Incremental reachability passes (applyDirtyRadios) and the rows they
-  // re-derived. Deliberately NOT folded into reachabilityRebuilds, which
-  // keeps its full-rebuild meaning (== cachedRebuilds + liveRebuilds).
+  // Always 0: rows are never rebuilt in part or invalidated, so there is
+  // nothing to count. Kept only while the end-to-end benchmark
+  // (perfbench/e2e.cpp) still prints them.
   std::uint64_t incrementalRebuilds{0};
   std::uint64_t rowsRebuilt{0};
-  // Invalidations that found a rebuild already pending (or the same radio
-  // already dirty) and therefore cost nothing — the churn-coalescing win.
   std::uint64_t coalescedInvalidations{0};
   // Reachability state adopted from a shared snapshot instead of built
   // (adoptReachability). Deliberately not folded into reachabilityRebuilds:
@@ -110,20 +114,18 @@ class Channel {
   };
   static_assert(sizeof(CachedLink) == 16);
 
-  // An immutable freeze of one channel's built reachability state: the
-  // per-transmitter receiver rows plus the spatial-index state needed to
-  // rebuild individual rows against it (the copy-on-write path). Produced
-  // by freezeAndShare() on a channel with cacheable (static-geometry)
-  // means; adopted by adoptReachability() on channels built identically —
-  // same radios in the same attach order over the same geometry. Strictly
-  // read-only after construction: concurrent simulations share one
-  // instance without synchronization.
+  // One transmitter's receivers, in ascending radio-index order.
+  using Row = std::vector<CachedLink>;
+
+  // An immutable freeze of one channel's built rows, one per transmitter.
+  // Produced by freezeAndShare() on a channel with cacheable
+  // (static-geometry) means; adopted by adoptReachability() on channels
+  // built identically — same radios in the same attach order over the
+  // same geometry. Strictly read-only after construction: concurrent
+  // simulations share one instance without synchronization.
   struct ReachSnapshot {
-    std::vector<std::vector<CachedLink>> rows;
-    SpatialGrid grid;               // over `positions`; unused when
-    std::vector<Vec2> positions;    // !spatialActive
-    double reachRadiusM{0.0};
-    bool spatialActive{false};
+    std::vector<Row> rows;
+    bool spatialActive{false};  // the build used the grid
   };
 
   // `fadingHeadroom`: see file comment. The link model must outlive the
@@ -158,49 +160,40 @@ class Channel {
   void overrideLinkLoss(net::NodeId a, net::NodeId b, double loss);
   void clearLinkLoss(net::NodeId a, net::NodeId b);
 
-  // Drop the reachability/link cache; the next transmission rebuilds every
-  // row. When a rebuild is already pending the call coalesces (counted in
-  // ChannelStats::coalescedInvalidations) and a pending dirty set is
-  // absorbed by the full rebuild.
-  void invalidateReachability();
-
-  // Invalidate only the rows `node` can affect. Radio::setFailed calls
-  // this on every fail/recover, so the cached receiver sets track the
-  // injected topology without the fault injector having to know about the
-  // cache. With the spatial index active on a static-geometry model, the
-  // next transmission rebuilds just the rows within the reach radius of
-  // `node` (an exact subset — see DESIGN §8.5); otherwise this degrades to
-  // invalidateReachability(). Repeat invalidations of an already-dirty
-  // radio coalesce.
-  void invalidateRadio(net::NodeId node);
+  // Radio::setFailed reports every flip of an attached radio here. While
+  // the count is zero, transmit() tests no receiver for failure.
+  void radioFailureChanged(bool failed) {
+    if (failed) {
+      ++failedRadios_;
+    } else {
+      MESH_ASSERT(failedRadios_ > 0);
+      --failedRadios_;
+    }
+  }
 
   // Force a full rebuild immediately (benches time it in isolation; tests
-  // use it to pin rebuild points). Also flushes any pending dirty set.
+  // use it to pin rebuild points). Writes channel-local rows: a shared
+  // snapshot is let go, never written.
   void rebuildReachabilityNow() { buildReachability(); }
 
   // --- shared topology snapshots (DESIGN §14) -----------------------------
 
-  // Builds (if pending) and moves the reachability state into an immutable
-  // snapshot, which this channel then adopts itself — the builder run reads
-  // the very rows it froze, through the same shared path every adopter
-  // uses, at zero copy cost. Requires cacheable means (static geometry), no
-  // mobility refresh, and that no snapshot is already adopted; call at most
-  // once, before any post-build mutation.
+  // Builds (if pending) and moves the rows into an immutable snapshot,
+  // which this channel then adopts itself — the builder run reads the very
+  // rows it froze, at zero copy cost. Requires cacheable means (static
+  // geometry), no mobility refresh, and that no snapshot is already
+  // adopted; call at most once.
   std::shared_ptr<const ReachSnapshot> freezeAndShare();
 
   // Adopts a previously frozen snapshot in place of the first build: marks
   // reachability built and closes attach. The snapshot must come from an
   // identically constructed channel (the row count is checked; geometric
   // identity is the caller's contract — the sweep runner shares a snapshot
-  // only among the runs of one topology). Later mutations copy-on-write:
-  // invalidateRadio/applyDirtyRadios rebuild affected rows into local
-  // storage, a full invalidation detaches from the snapshot entirely, and
-  // overrideLinkLoss never touches rows at all — so a sibling run sharing
-  // the snapshot can never observe this run's faults.
+  // only among the runs of one topology). Faults never write rows (a
+  // failed radio is skipped at transmit time, a loss override is layered
+  // over them), so a sibling run sharing the snapshot can never observe
+  // this run's faults.
   void adoptReachability(std::shared_ptr<const ReachSnapshot> snapshot);
-
-  // True while any rows are still read from an adopted/frozen snapshot.
-  bool sharesSnapshot() const { return shared_ != nullptr; }
 
   // True when the last reachability build actually used the grid (model
   // indexable, finite reach radius). Meaningful after the first build
@@ -237,8 +230,6 @@ class Channel {
   // spatialActive_, else the full O(n) scan. Bit-identical results either
   // way (superset contract + exact predicate + ascending-index order).
   void buildRow(std::size_t tx);
-  // Rebuild exactly the rows a dirty radio can appear in.
-  void applyDirtyRadios();
   // Returns true when a loss override says this delivery must be
   // suppressed (drawing from rng_ for partial loss rates).
   bool lossSuppressed(net::NodeId tx, net::NodeId rx, const PhyFramePtr& frame);
@@ -294,16 +285,14 @@ class Channel {
 
   std::vector<Radio*> radios_;                 // indexed by attach order
   std::unordered_map<net::NodeId, std::uint32_t> nodeIndex_;  // id -> index
-  // Channel-owned receiver rows. Under a shared snapshot these start empty
-  // and only fill as rows are copy-on-write rebuilt; the hot path never
-  // reads them directly — it goes through rowView_.
-  std::vector<std::vector<CachedLink>> reachable_;
-  // Per-transmitter row indirection: rowView_[tx] points at either the
-  // shared snapshot's row or the channel-local rebuild in reachable_. One
-  // extra dereference per transmission buys zero-copy world sharing.
-  std::vector<const std::vector<CachedLink>*> rowView_;
-  // Non-null while any rowView_ entry still points into an adopted/frozen
-  // snapshot; keeps the shared rows (and grid/positions) alive.
+  std::uint32_t failedRadios_{0};  // attached radios with failed() true
+  // The row table transmit() reads: localRows_ after a local build, the
+  // adopted or frozen snapshot's rows otherwise. Rebuilt only in full,
+  // into localRows_ (whose buffers mobility refreshes reuse).
+  const std::vector<Row>* rows_{&localRows_};
+  std::vector<Row> localRows_;
+  // Non-null while rows_ points into an adopted/frozen snapshot; keeps it
+  // alive.
   std::shared_ptr<const ReachSnapshot> shared_;
   std::vector<std::unique_ptr<FanoutRun>> runs_;
   std::vector<FanoutRun*> freeRuns_;
@@ -312,19 +301,11 @@ class Channel {
   std::vector<std::uint64_t> radixScratch_;
 
   // --- spatial index state (see DESIGN §8.5) ------------------------------
+  // Build-time only: the grid and positions of the last full build.
   bool spatialActive_{false};               // last build used the grid
   double reachRadiusM_{0.0};                // conservative pruning radius
   SpatialGrid grid_;
   std::vector<Vec2> gridPositions_;         // build-time position snapshot
-  // Grid/positions the row builders consult: the channel-owned pair above
-  // after a local build, the snapshot's frozen pair while adopted.
-  const SpatialGrid* activeGrid_{&grid_};
-  const std::vector<Vec2>* activePositions_{&gridPositions_};
-  std::vector<std::uint32_t> dirtyRadios_;  // pending row invalidations
-  std::vector<std::uint64_t> dirtyMask_;    // bit per radio: already in
-                                            // dirtyRadios_ — O(1) dedup
-                                            // (mirrors rowMask_)
-  std::vector<std::uint32_t> dirtyScratch_; // affected-row buffer, reused
   std::vector<std::uint32_t> rowScratch_;   // candidate buffer for buildRow
   std::vector<std::uint64_t> rowMask_;      // candidate bitmap: ascending
                                             // iteration without a sort

@@ -36,9 +36,6 @@ class LinkModel {
   // even with fading headroom are skipped entirely.
   virtual double meanRxPowerW(net::NodeId from, net::NodeId to) const = 0;
 
-  // Per-frame received power sample (mean × fading draw).
-  virtual double sampleRxPowerW(net::NodeId from, net::NodeId to, Rng& rng) const = 0;
-
   // Distance used for propagation delay; may be zero for emulated links.
   virtual double distanceM(net::NodeId from, net::NodeId to) const = 0;
 
@@ -50,17 +47,12 @@ class LinkModel {
   // must return false to keep live positions authoritative.
   virtual bool meansCacheable() const { return true; }
 
-  // The per-frame stochastic part of sampleRxPowerW, given this link's
-  // (cached) mean power — the "fading gain" hook of the hot-path design.
-  // Contract: must draw from `rng` exactly as sampleRxPowerW does and
-  // return the bit-identical power, so the channel's link cache can never
-  // perturb RNG draw order or results. The default recomputes the mean via
-  // sampleRxPowerW (always correct); hot models override it.
+  // The per-frame received power on a link whose mean (fading-free) power
+  // is `meanPowerW`: the one sampling hook. The channel passes the mean
+  // it froze into its link cache, or, when means are not cacheable
+  // (mobility), meanRxPowerW(from, to) queried at transmit time.
   virtual double samplePowerGivenMeanW(net::NodeId from, net::NodeId to,
-                                       double meanPowerW, Rng& rng) const {
-    (void)meanPowerW;
-    return sampleRxPowerW(from, to, rng);
-  }
+                                       double meanPowerW, Rng& rng) const = 0;
 
   // Non-null iff samplePowerGivenMeanW is exactly
   // `meanPowerW * fading->powerGain(rng)` for every link, independent of
@@ -115,10 +107,6 @@ class GeometricLinkModel final : public LinkModel {
     return propagation_->rxPowerW(params_, position(from), position(to));
   }
 
-  double sampleRxPowerW(net::NodeId from, net::NodeId to, Rng& rng) const override {
-    return meanRxPowerW(from, to) * sampleFadingGain(rng);
-  }
-
   double distanceM(net::NodeId from, net::NodeId to) const override {
     return position(from).distanceTo(position(to));
   }
@@ -128,8 +116,6 @@ class GeometricLinkModel final : public LinkModel {
 
   double samplePowerGivenMeanW(net::NodeId, net::NodeId, double meanPowerW,
                                Rng& rng) const override {
-    // Same product as sampleRxPowerW with the cached mean substituted for
-    // the propagation recomputation: identical draws, identical bits.
     return meanPowerW * sampleFadingGain(rng);
   }
 
@@ -182,8 +168,9 @@ class MobileGeometricLinkModel final : public LinkModel {
                                   mobility_->positionAt(to, now));
   }
 
-  double sampleRxPowerW(net::NodeId from, net::NodeId to, Rng& rng) const override {
-    return meanRxPowerW(from, to) * fading_->powerGain(rng);
+  double samplePowerGivenMeanW(net::NodeId, net::NodeId, double meanPowerW,
+                               Rng& rng) const override {
+    return meanPowerW * fading_->powerGain(rng);
   }
 
   double distanceM(net::NodeId from, net::NodeId to) const override {

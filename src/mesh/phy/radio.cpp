@@ -34,11 +34,10 @@ void Radio::setFailed(bool failed) {
   failed_ = failed;
   // An in-flight own transmission is not truncated: its energy is already
   // scheduled at every receiver. Crash granularity is one frame.
-  // The channel's cached receiver sets mention this radio; tell it so the
-  // affected rows are rebuilt before the next transmission. Self-reporting
-  // here (rather than in the fault injector) keeps the cache correct for
-  // every setFailed caller.
-  if (channel_ != nullptr) channel_->invalidateRadio(node_);
+  // The channel counts failed radios so that its fan-out tests receivers
+  // for failure only while one is down. Self-reporting here (rather than
+  // in the fault injector) keeps the count right for every caller.
+  if (channel_ != nullptr) channel_->radioFailureChanged(failed);
   settle();
 }
 

@@ -112,9 +112,9 @@ class Radio {
   // (transmit() swallows the frame with a FaultNodeDown drop) nor hears
   // (beginArrival ignores incoming energy). A reception in progress at the
   // failure instant is lost. In-flight arrivals drain on their own
-  // schedule, so recovery never observes stale state. The caller (the
-  // FaultInjector) is responsible for invalidating the channel's
-  // reachability cache so the topology change is visible there too.
+  // schedule, so recovery never observes stale state. Each flip is
+  // reported to the attached channel, whose fan-out then skips this radio
+  // as a receiver before drawing anything for it.
   void setFailed(bool failed);
   bool failed() const { return failed_; }
 

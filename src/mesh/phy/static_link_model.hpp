@@ -46,16 +46,9 @@ class StaticLinkModel : public LinkModel {
     return power_[index(from, to)];
   }
 
-  double sampleRxPowerW(net::NodeId from, net::NodeId to, Rng& rng) const override {
-    const double rate = lossRateNow(from, to);
-    if (rate > 0.0 && rng.bernoulli(rate)) return lostPowerW_;
-    return power_[index(from, to)];
-  }
-
   // The link budget itself is static (the cached mean IS power_[from][to]);
   // only the Bernoulli loss draw — which may be time-varying in subclasses
-  // — happens per frame. Same draws and same returned bits as
-  // sampleRxPowerW.
+  // — happens per frame.
   double samplePowerGivenMeanW(net::NodeId from, net::NodeId to,
                                double meanPowerW, Rng& rng) const override {
     const double rate = lossRateNow(from, to);

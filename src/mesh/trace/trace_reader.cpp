@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <type_traits>
 
 namespace mesh::trace {
 namespace {
@@ -169,22 +171,40 @@ TraceReadResult readTraceFile(const std::string& path) {
     if (!eventTypeFromString(text.c_str(), record.type)) {
       return fail("unknown event type: " + text);
     }
-    if (!jsonFindUint(line, "node", u)) return fail("record without node");
-    record.node = static_cast<net::NodeId>(u);
-    if (jsonFindUint(line, "pid", u)) record.pid = static_cast<std::uint32_t>(u);
-    if (jsonFindUint(line, "bytes", u)) {
-      record.bytes = static_cast<std::uint32_t>(u);
+    // Narrows a present unsigned field into its record field. A value
+    // outside [0, max] is an error, never truncated or dropped: 65547 must
+    // not read as node 11, nor -1 as an absent pid.
+    std::string badField;
+    const auto narrow = [&](const char* key, std::uint64_t max, auto& out) {
+      std::string_view value;
+      if (!findValue(line, key, value)) return false;
+      std::int64_t v = 0;
+      if (!jsonFindInt(line, key, v) || v < 0 ||
+          static_cast<std::uint64_t>(v) > max) {
+        if (badField.empty()) {
+          badField = std::string{"\""} + key + "\" must be an integer in 0.." +
+                     std::to_string(max) + ", got " +
+                     std::string{value.substr(0, value.find_first_of(",}"))};
+        }
+        return false;
+      }
+      out = static_cast<std::remove_reference_t<decltype(out)>>(v);
+      return true;
+    };
+    constexpr std::uint64_t kMaxId = 0xFFFF;
+    constexpr std::uint64_t kMaxU32 = 0xFFFFFFFF;
+    constexpr std::uint64_t kMaxChannel = 254;
+    if (!narrow("node", kMaxId, record.node)) {
+      return fail(badField.empty() ? "record without node" : badField);
     }
+    narrow("pid", kMaxU32, record.pid);
+    narrow("bytes", kMaxU32, record.bytes);
     if (jsonFindString(line, "kind", text) &&
         !kindFromString(text, record.kind)) {
       return fail("unknown packet kind: " + text);
     }
-    if (jsonFindUint(line, "origin", u)) {
-      record.origin = static_cast<net::NodeId>(u);
-    }
-    if (jsonFindUint(line, "group", u)) {
-      record.group = static_cast<net::GroupId>(u);
-    }
+    narrow("origin", kMaxId, record.origin);
+    narrow("group", kMaxId, record.group);
     if (record.type == EventType::Drop) {
       if (!jsonFindString(line, "reason", text) ||
           !dropReasonFromString(text.c_str(), record.reason)) {
@@ -197,24 +217,18 @@ TraceReadResult readTraceFile(const std::string& path) {
           !faultKindFromString(text.c_str(), record.fault)) {
         return fail("fault record without a known kind");
       }
-      if (jsonFindUint(line, "peer", u)) {
-        record.peer = static_cast<net::NodeId>(u);
-      }
+      narrow("peer", kMaxId, record.peer);
       jsonFindDouble(line, "loss", record.loss);
       jsonFindDouble(line, "dbm", record.dbm);
     }
-    if (record.type == EventType::GatewayHandoff) {
-      if (!jsonFindUint(line, "src_ch", u)) {
-        return fail("gateway_handoff record without src_ch");
-      }
-      record.srcChannel = static_cast<std::int16_t>(u);
+    if (record.type == EventType::GatewayHandoff &&
+        !narrow("src_ch", kMaxChannel, record.srcChannel) &&
+        badField.empty()) {
+      return fail("gateway_handoff record without src_ch");
     }
-    if (jsonFindUint(line, "rate", u)) {
-      record.rate = static_cast<std::uint8_t>(u);
-    }
-    if (jsonFindUint(line, "channel", u)) {
-      record.channel = static_cast<std::int16_t>(u);
-    }
+    narrow("rate", 0xFF, record.rate);
+    narrow("channel", kMaxChannel, record.channel);
+    if (!badField.empty()) return fail(badField);
     trace.records.push_back(record);
   }
   std::fclose(in);

@@ -163,6 +163,12 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"[traffic]\nstart_s = 30\n[scenario]\nduration_s = 30\n"
                 "[group 1]\nsources = 0\nmembers = 1\n",
                 "line 4: duration_s (30) must be greater than start_s (30)"},
+        BadCase{"[traffic]\nstart_s = 20\nstop_s = 15\n"
+                "[group 1]\nsources = 0\nmembers = 1\n",
+                "line 3: stop_s (15) must be greater than start_s (20)"},
+        BadCase{"[traffic]\nstop_s = 20\nrate_pps = 2\nstart_s = 20\n"
+                "[group 1]\nsources = 0\nmembers = 1\n",
+                "line 4: stop_s (20) must be greater than start_s (20)"},
         // Hostile numbers are refused before any cast.
         BadCase{"[scenario]\nnodes = 1e30\n", "line 2: nodes must be"},
         BadCase{"[scenario]\nnodes = 2.5\n", "nodes must be a positive integer"},
@@ -257,9 +263,9 @@ members = 3 4
 }
 
 TEST(ConfigFile, StopBeforeStartFailsTheRunWithADiagnostic) {
-  // The file is well-formed; the empty traffic window is a scenario error
-  // the simulation reports when it is built, instead of aborting.
-  const auto result = parseScenarioConfig(R"(
+  // In a file, the empty traffic window is a config error on the later of
+  // the two keys' lines.
+  const std::string text = R"(
 [scenario]
 nodes = 6
 area = 300x300
@@ -270,10 +276,20 @@ stop_s = 10
 [group 1]
 sources = 0
 members = 3 4
-)");
-  ASSERT_TRUE(result.ok()) << result.error;
+)";
+  const auto result = parseScenarioConfig(text);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error,
+            "config error at line 8: stop_s (10) must be greater than "
+            "start_s (20)");
+  // A config built in code reaches the simulation, which refuses to build
+  // it instead of aborting.
+  auto config = *parseScenarioConfig(
+      text.substr(0, text.find("stop_s")) + text.substr(text.find("[group")))
+                     .config;
+  config.traffic.stop = SimTime::seconds(std::int64_t{10});
   try {
-    Simulation sim{*result.config};
+    Simulation sim{config};
     FAIL() << "an empty traffic window must not build";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();

@@ -170,8 +170,10 @@ TEST(MobileLinkModel, LiveQueriesMatchFrozenPositionsBitForBit) {
       Rng liveRng{99};
       Rng frozenRng{99};
       for (int draw = 0; draw < 8; ++draw) {
-        EXPECT_EQ(mobile.sampleRxPowerW(0, 1, liveRng),
-                  still.sampleRxPowerW(0, 1, frozenRng))
+        EXPECT_EQ(mobile.samplePowerGivenMeanW(
+                      0, 1, mobile.meanRxPowerW(0, 1), liveRng),
+                  still.samplePowerGivenMeanW(
+                      0, 1, still.meanRxPowerW(0, 1), frozenRng))
             << "t=" << t << " draw=" << draw;
       }
       EXPECT_EQ(mobile.meanRxPowerW(1, 2), still.meanRxPowerW(1, 2));

@@ -494,8 +494,9 @@ class DelayTableLinkModel final : public LinkModel {
       : distances_{std::move(distanceFromZeroM)}, cacheable_{cacheable} {}
 
   double meanRxPowerW(net::NodeId, net::NodeId) const override { return 1e-6; }
-  double sampleRxPowerW(net::NodeId, net::NodeId, Rng&) const override {
-    return 1e-6;
+  double samplePowerGivenMeanW(net::NodeId, net::NodeId, double meanPowerW,
+                               Rng&) const override {
+    return meanPowerW;
   }
   double distanceM(net::NodeId from, net::NodeId to) const override {
     return distances_.at(from == 0 ? to : from);

@@ -8,9 +8,8 @@
 //  * Channel rows bit-identical grid vs. scan, for static geometry, for
 //    Rayleigh-fading delivery statistics, and for a moving node crossing
 //    cells mid-run under the frozen-refresh mobility model.
-//  * Incremental invalidation (Radio::setFailed -> invalidateRadio)
-//    produces exactly the rows a full rebuild would, and repeated
-//    invalidations coalesce.
+//  * A failed receiver is an absent receiver: skipping it at transmit
+//    time gives exactly the draws and arrivals of a row built without it.
 //
 // The O(n²) pair scan survives only as the path for models without
 // geometry; here it is the oracle, forced by wrapping a geometric model in
@@ -147,10 +146,6 @@ class ScanOnly final : public LinkModel {
   double meanRxPowerW(net::NodeId from, net::NodeId to) const override {
     return inner_->meanRxPowerW(from, to);
   }
-  double sampleRxPowerW(net::NodeId from, net::NodeId to,
-                        Rng& rng) const override {
-    return inner_->sampleRxPowerW(from, to, rng);
-  }
   double distanceM(net::NodeId from, net::NodeId to) const override {
     return inner_->distanceM(from, to);
   }
@@ -268,62 +263,181 @@ TEST(SpatialChannel, NodeAtWorldOriginAndExtentMatchScan) {
             broadcastDeliveryCounts(scanRig));
 }
 
-TEST(SpatialChannel, IncrementalInvalidationMatchesFullRebuild) {
-  // Fail and recover radios one at a time; after each step the grid
-  // channel (incremental row rebuilds) and the scan channel (full
-  // rebuilds) must deliver identically.
-  const auto positions = randomPositions(60, 5000.0, 33);
-  Rig gridRig{positions, true};
-  Rig scanRig{positions, false};
-  // Prime both caches.
-  gridRig.channel->rebuildReachabilityNow();
-  scanRig.channel->rebuildReachabilityNow();
+// A geometric model that logs every power draw and can hide one receiver:
+// while hidden, every link into it has zero mean power, so a row built
+// then leaves it out. Every draw goes through samplePowerGivenMeanW (no
+// inline Rayleigh), so the log sees all of them.
+class HideableLinks final : public LinkModel {
+ public:
+  struct Draw {
+    net::NodeId from;
+    net::NodeId to;
+    double powerW;
+    bool operator==(const Draw&) const = default;
+  };
 
-  Rng pick{77};
-  for (int step = 0; step < 12; ++step) {
-    const auto victim =
-        static_cast<std::size_t>(pick.uniformInt(std::uint64_t{60}));
-    const bool fail = (step % 3) != 2;  // mostly fail, sometimes recover
-    gridRig.radios[victim]->setFailed(fail);
-    scanRig.radios[victim]->setFailed(fail);
-    EXPECT_EQ(broadcastDeliveryCounts(gridRig),
-              broadcastDeliveryCounts(scanRig))
-        << "diverged after step " << step;
+  HideableLinks(std::unique_ptr<GeometricLinkModel> inner,
+                std::vector<Draw>& log)
+      : inner_{std::move(inner)}, log_{log} {}
+
+  void hide(net::NodeId node) { hidden_ = node; }
+  void unhide() { hidden_ = net::kInvalidNode; }
+
+  double meanRxPowerW(net::NodeId from, net::NodeId to) const override {
+    return to == hidden_ ? 0.0 : inner_->meanRxPowerW(from, to);
   }
-  // The grid side actually took the incremental path.
-  EXPECT_GT(gridRig.channel->stats().incrementalRebuilds, 0u);
-  EXPECT_GT(gridRig.channel->stats().rowsRebuilt, 0u);
-  // Incremental passes rebuild fewer rows than n * passes would.
-  EXPECT_LT(gridRig.channel->stats().rowsRebuilt,
-            gridRig.channel->stats().incrementalRebuilds * 60);
-  // The scan side fell back to full rebuilds.
-  EXPECT_GT(scanRig.channel->stats().reachabilityRebuilds, 1u);
+  double distanceM(net::NodeId from, net::NodeId to) const override {
+    return inner_->distanceM(from, to);
+  }
+  double samplePowerGivenMeanW(net::NodeId from, net::NodeId to,
+                               double meanPowerW, Rng& rng) const override {
+    const double powerW =
+        inner_->samplePowerGivenMeanW(from, to, meanPowerW, rng);
+    log_.push_back(Draw{from, to, powerW});
+    return powerW;
+  }
+  bool spatiallyIndexable() const override { return true; }
+  Vec2 nodePosition(net::NodeId node) const override {
+    return inner_->nodePosition(node);
+  }
+  double maxReachRadiusM(double minMeanPowerW) const override {
+    return inner_->maxReachRadiusM(minMeanPowerW);
+  }
+
+ private:
+  std::unique_ptr<GeometricLinkModel> inner_;
+  std::vector<Draw>& log_;
+  net::NodeId hidden_{net::kInvalidNode};
+};
+
+// The executing event's seq: the largest s that reached(now, s) admits.
+std::uint64_t executingSeq(const sim::Simulator& simulator) {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = std::uint64_t{1} << 40;  // seqs are 40 bits
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    (simulator.reached(simulator.now(), mid) ? lo : hi) = mid;
+  }
+  return lo;
 }
 
-TEST(SpatialChannel, RepeatInvalidationsCoalesce) {
-  const auto positions = randomPositions(30, 2000.0, 34);
-  Rig rig{positions, true};
-  rig.channel->rebuildReachabilityNow();
-  ASSERT_EQ(rig.channel->stats().coalescedInvalidations, 0u);
+TEST(SpatialChannel, FailedReceiverIsAnAbsentReceiver) {
+  // Two same-seed channels over one geometry. In `failing`, radio k is
+  // failed and recovered with setFailed and the rows are never rebuilt;
+  // in `hiding`, k's links fall below the row predicate instead and the
+  // rows are rebuilt at each flip — what a rebuilt row without k gives.
+  // Partial loss overrides on every link into k (and one more) make the
+  // loss draws part of the comparison: a skip placed after k's loss draw
+  // or after its power draw shifts every later draw.
+  constexpr std::size_t kNodes = 12;
+  constexpr net::NodeId k = 5;
+  const auto positions = randomPositions(kNodes, 400.0, 35);
 
-  // Same radio invalidated twice before the next transmit: the second is
-  // coalesced (the rows it would dirty are already pending).
-  rig.radios[3]->setFailed(true);
-  rig.channel->invalidateRadio(rig.radios[3]->nodeId());
-  EXPECT_EQ(rig.channel->stats().coalescedInvalidations, 1u);
+  struct Arrival {
+    net::NodeId receiver;
+    SimTime at;
+    std::uint64_t seq;
+    bool operator==(const Arrival&) const = default;
+  };
+  struct Side {
+    sim::Simulator simulator;
+    std::vector<HideableLinks::Draw> draws;
+    std::vector<Arrival> arrivals;
+    HideableLinks* links{nullptr};
+    std::unique_ptr<Channel> channel;
+    std::vector<std::unique_ptr<Radio>> radios;
 
-  // A full invalidation absorbs the dirty set; further invalidations of
-  // any kind coalesce against the pending full rebuild.
-  rig.channel->invalidateReachability();
-  rig.channel->invalidateReachability();
-  rig.channel->invalidateRadio(rig.radios[7]->nodeId());
-  EXPECT_EQ(rig.channel->stats().coalescedInvalidations, 3u);
+    explicit Side(const std::vector<Vec2>& positions) {
+      PhyParams params;
+      auto model = std::make_unique<HideableLinks>(
+          std::make_unique<GeometricLinkModel>(
+              params, positions, std::make_unique<TwoRayGroundModel>(),
+              std::make_unique<RayleighFading>()),
+          draws);
+      links = model.get();
+      channel = std::make_unique<Channel>(simulator, std::move(model),
+                                          Rng{61}.fork("channel"));
+      for (std::size_t i = 0; i < positions.size(); ++i) {
+        radios.push_back(std::make_unique<Radio>(
+            simulator, static_cast<net::NodeId>(i), params));
+        Radio& radio = *radios.back();
+        channel->attach(radio);
+        // Each broadcast runs to completion before the next, so every
+        // arrival above carrier sense begins with a busy edge.
+        radio.setMediumCallback([this, &radio](bool busy) {
+          if (!busy) return;
+          arrivals.push_back(Arrival{radio.nodeId(), simulator.now(),
+                                     executingSeq(simulator)});
+        });
+        radio.setMediumListening(true);
+      }
+      for (net::NodeId j = 0; j < kNodes; ++j) {
+        if (j != k) channel->overrideLinkLoss(j, k, 0.5);
+      }
+      channel->overrideLinkLoss(0, 1, 0.5);
+      channel->rebuildReachabilityNow();
+    }
 
-  // The pending rebuild happens once, on the next transmission.
-  const auto rebuildsBefore = rig.channel->stats().reachabilityRebuilds;
-  rig.radios[0]->transmit(rig.frame(), rig.airtime());
-  rig.simulator.run();
-  EXPECT_EQ(rig.channel->stats().reachabilityRebuilds, rebuildsBefore + 1);
+    // Every radio but k broadcasts once, one after another.
+    void broadcastRound() {
+      const auto frame =
+          makeFrame(std::vector<std::uint8_t>(100, 0xEF), nullptr);
+      const SimTime airtime = radios[0]->params().frameAirtime(100);
+      for (auto& radio : radios) {
+        if (radio->nodeId() == k) continue;
+        radio->transmit(frame, airtime);
+        simulator.run(simulator.now() + SimTime::milliseconds(20));
+      }
+    }
+  };
+
+  Side failing{positions};
+  Side hiding{positions};
+  const auto heardByK = [](const Side& side, std::size_t fromDraw,
+                           std::size_t fromArrival) {
+    std::size_t n = 0;
+    for (std::size_t i = fromDraw; i < side.draws.size(); ++i) {
+      n += side.draws[i].to == k;
+    }
+    for (std::size_t i = fromArrival; i < side.arrivals.size(); ++i) {
+      n += side.arrivals[i].receiver == k;
+    }
+    return n;
+  };
+
+  failing.broadcastRound();
+  hiding.broadcastRound();
+  EXPECT_GT(heardByK(failing, 0, 0), 0u);  // k is in range at all
+
+  failing.radios[k]->setFailed(true);
+  hiding.links->hide(k);
+  hiding.channel->rebuildReachabilityNow();
+  const std::size_t drawsAtFail = failing.draws.size();
+  const std::size_t arrivalsAtFail = failing.arrivals.size();
+  failing.broadcastRound();
+  hiding.broadcastRound();
+  EXPECT_EQ(heardByK(failing, drawsAtFail, arrivalsAtFail), 0u);
+  EXPECT_EQ(failing.radios[k]->stats().framesLostFailed, 0u);
+
+  failing.radios[k]->setFailed(false);
+  hiding.links->unhide();
+  hiding.channel->rebuildReachabilityNow();
+  const std::size_t drawsAtRecover = failing.draws.size();
+  const std::size_t arrivalsAtRecover = failing.arrivals.size();
+  failing.broadcastRound();
+  hiding.broadcastRound();
+  EXPECT_GT(heardByK(failing, drawsAtRecover, arrivalsAtRecover), 0u);
+
+  EXPECT_EQ(failing.draws, hiding.draws);
+  EXPECT_EQ(failing.arrivals, hiding.arrivals);
+  EXPECT_EQ(failing.channel->stats().deliveriesScheduled,
+            hiding.channel->stats().deliveriesScheduled);
+  EXPECT_EQ(failing.channel->stats().faultSuppressedDeliveries,
+            hiding.channel->stats().faultSuppressedDeliveries);
+  EXPECT_GT(failing.channel->stats().faultSuppressedDeliveries, 0u);
+  // The failing side never rebuilt a row: the skip did all the work.
+  EXPECT_EQ(failing.channel->stats().reachabilityRebuilds, 1u);
+  EXPECT_GT(failing.arrivals.size(), 3 * (kNodes - 1));
 }
 
 TEST(SpatialChannel, MovingNodeCrossingCellsMatchesScanBitForBit) {

@@ -327,6 +327,65 @@ TEST(TraceReplay, TamperedCounterLineFailsTheRecordAudit) {
   std::remove(path.c_str());
 }
 
+TEST(TraceReader, NarrowedFieldsOutOfRangeAreLineNumberedErrors) {
+  // Each field is narrowed into a smaller record field; a value outside
+  // [0, max] must be refused with the line, never wrapped or dropped
+  // (65547 used to read as node 11, -1 as an absent field). The maximum
+  // itself still reads.
+  struct Row {
+    const char* record;
+    const char* error;  // empty: reads
+  };
+  const std::vector<Row> rows = {
+      {R"({"t":1,"ev":"deliver","node":65547,"pid":1,"kind":"data","bytes":512,"origin":0,"group":1})",
+       R"("node" must be an integer in 0..65535, got 65547)"},
+      {R"({"t":1,"ev":"deliver","node":65535,"pid":4294967295,"kind":"data","bytes":4294967295,"origin":65535,"group":65535})",
+       ""},
+      {R"({"t":1,"ev":"deliver","node":1,"pid":4294967296,"kind":"data","bytes":1})",
+       R"("pid" must be an integer in 0..4294967295, got 4294967296)"},
+      {R"({"t":1,"ev":"deliver","node":1,"pid":-1,"kind":"data","bytes":1})",
+       R"("pid" must be an integer in 0..4294967295, got -1)"},
+      {R"({"t":1,"ev":"deliver","node":1,"pid":99999999999999999999,"kind":"data","bytes":1})",
+       R"("pid" must be an integer in 0..4294967295, got 99999999999999999999)"},
+      {R"({"t":1,"ev":"deliver","node":-1,"pid":1,"kind":"data","bytes":1})",
+       R"("node" must be an integer in 0..65535, got -1)"},
+      {R"({"t":1,"ev":"deliver","node":1,"pid":1,"kind":"data","bytes":4294967296})",
+       R"("bytes" must be an integer in 0..4294967295, got 4294967296)"},
+      {R"({"t":1,"ev":"forward","node":1,"pid":1,"kind":"data","bytes":1,"origin":65536,"group":1})",
+       R"("origin" must be an integer in 0..65535, got 65536)"},
+      {R"({"t":1,"ev":"member_join","node":1,"group":65536})",
+       R"("group" must be an integer in 0..65535, got 65536)"},
+      {R"({"t":1,"ev":"fault_inject","node":1,"fault":"blackout","peer":65536})",
+       R"("peer" must be an integer in 0..65535, got 65536)"},
+      {R"({"t":1,"ev":"tx_start","node":1,"pid":1,"kind":"data","bytes":1,"rate":255,"channel":254})",
+       ""},
+      {R"({"t":1,"ev":"tx_start","node":1,"pid":1,"kind":"data","bytes":1,"rate":256})",
+       R"("rate" must be an integer in 0..255, got 256)"},
+      {R"({"t":1,"ev":"tx_start","node":1,"pid":1,"kind":"data","bytes":1,"channel":255})",
+       R"("channel" must be an integer in 0..254, got 255)"},
+      {R"({"t":1,"ev":"gateway_handoff","node":1,"pid":1,"kind":"data","bytes":1,"src_ch":255,"channel":0})",
+       R"("src_ch" must be an integer in 0..254, got 255)"},
+      {R"({"t":1,"ev":"gateway_handoff","node":1,"pid":1,"kind":"data","bytes":1,"channel":0})",
+       "gateway_handoff record without src_ch"},
+  };
+  const std::string path = testing::TempDir() + "trace_hostile.jsonl";
+  for (const Row& row : rows) {
+    {
+      std::ofstream out{path, std::ios::binary | std::ios::trunc};
+      out << R"({"seed":3,"protocol":"ODMRP","nodes":20,"active_s":100})"
+          << "\n" << row.record << "\n";
+    }
+    const trace::TraceReadResult read = trace::readTraceFile(path);
+    if (std::string{row.error}.empty()) {
+      EXPECT_TRUE(read.trace.has_value()) << row.record << ": " << read.error;
+    } else {
+      EXPECT_FALSE(read.trace.has_value()) << row.record;
+      EXPECT_EQ(read.error, path + ":2: " + row.error);
+    }
+  }
+  std::remove(path.c_str());
+}
+
 // ------------------------------------------------------------ sweeps
 
 BenchOptions traceSweepOptions(std::size_t jobs, const std::string& traceDir) {
