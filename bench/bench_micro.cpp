@@ -662,8 +662,8 @@ void BM_RadioMediumBusy(benchmark::State& state) {
   // Park N weak (non-locking) arrivals on the radio; their ends lie an
   // hour ahead, so every query takes sync()'s one-compare early out.
   for (std::int64_t i = 0; i < state.range(0); ++i) {
-    radio.beginArrival(frame, static_cast<net::NodeId>(i + 1),
-                       params.rxThresholdW * 0.1, SimTime::seconds(std::int64_t{3600}));
+    radio.beginArrival(frame, params.rxThresholdW * 0.1,
+                       SimTime::seconds(std::int64_t{3600}));
   }
   for (auto _ : state) benchmark::DoNotOptimize(radio.mediumBusy());
 }

@@ -21,9 +21,7 @@ Mac80211::Mac80211(sim::Simulator& simulator, phy::Radio& radio,
       sifsTimer_{simulator} {
   MESH_REQUIRE(params_.cwMin > 0 && params_.cwMax >= params_.cwMin);
   radio_.setReceiveCallback(
-      [this](const phy::PhyFramePtr& frame, const phy::RxInfo& info) {
-        onRadioReceive(frame, info);
-      });
+      [this](const phy::PhyFramePtr& frame) { onRadioReceive(frame); });
   radio_.setMediumCallback([this](bool busy) { onMediumEdge(busy); });
   dupCache_.assign(params_.dupCacheSize, {net::kInvalidNode, 0});
   queue_.init(params_.queueLimit);
@@ -344,9 +342,7 @@ void Mac80211::finishJob(bool success) {
 
 // --------------------------------------------------------------- reception
 
-void Mac80211::onRadioReceive(const phy::PhyFramePtr& frame,
-                              const phy::RxInfo& info) {
-  (void)info;
+void Mac80211::onRadioReceive(const phy::PhyFramePtr& frame) {
   const auto header = Frame::parseHeader(frame->headerBytes());
   if (!header) return;
   const FrameHeader& h = *header;

@@ -191,7 +191,7 @@ class Mac80211 {
   void finishJob(bool success);
 
   // --- reception ----------------------------------------------------------
-  void onRadioReceive(const phy::PhyFramePtr& frame, const phy::RxInfo& info);
+  void onRadioReceive(const phy::PhyFramePtr& frame);
   void handleRts(const FrameHeader& h);
   void handleCts(const FrameHeader& h);
   void handleData(const FrameHeader& h, const net::PacketPtr& payload);

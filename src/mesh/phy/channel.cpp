@@ -310,7 +310,6 @@ void Channel::transmit(Radio& sender, const PhyFramePtr& frame,
   const std::uint64_t firstSeq = simulator_.reserveSeqs(kept.size());
   orderRun(kept.size(), delayOr ^ delayAnd, now, firstSeq, run.items());
   run.frame = frame;
-  run.txNode = txNode;
   run.airtime = airtime;
   simulator_.addRun(run);
 }

@@ -251,14 +251,13 @@ class Channel {
     explicit FanoutRun(Channel& channel) : channel_{channel} {}
 
     PhyFramePtr frame;
-    net::NodeId txNode{net::kInvalidNode};
     SimTime airtime{SimTime::zero()};
     std::vector<Delivery> deliveries;
 
    private:
     void fire(std::uint32_t index) override {
       const Delivery& d = deliveries[index];
-      d.receiver->beginArrival(frame, txNode, d.powerW, airtime, d.corrupted);
+      d.receiver->beginArrival(frame, d.powerW, airtime, d.corrupted);
     }
     void finished() override;
 

@@ -1,20 +1,47 @@
 #include "mesh/phy/radio.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
 
 #include "mesh/common/log.hpp"
 #include "mesh/phy/channel.hpp"
 #include "mesh/trace/trace_collector.hpp"
 
 namespace mesh::phy {
+namespace {
+
+// Powers at or above this are strong (see the file comment). 0.25 W is
+// far above any carrier-sense threshold, and 2.5 W above the strongest
+// frame a link model can draw: the Friis mean at the 0.1 m distance clamp
+// (0.0192 W) times the largest Rayleigh gain Rng returns (-ln 2^-53 =
+// 36.7) is 0.71 W.
+constexpr double kStrongW = 0x1p-2;
+
+// Rounds a power below kStrongW to 2^-64 W quanta (error <= 2.7e-20 W;
+// the weakest arrival the channel hands over is csThresholdW × 1e-3).
+std::int64_t quantaOf(double powerW) {
+  return static_cast<std::int64_t>(powerW * 0x1p64 + 0.5);
+}
+
+// A NaN power reads strong rather than reaching the cast above.
+bool isStrong(double powerW) { return !(powerW < kStrongW); }
+
+}  // namespace
 
 Radio::Radio(sim::Simulator& simulator, net::NodeId node, PhyParams params)
-    : simulator_{simulator}, node_{node}, params_{params} {}
+    : simulator_{simulator},
+      node_{node},
+      params_{params},
+      csQuanta_{static_cast<std::int64_t>(
+          std::ceil(params_.csThresholdW * 0x1p64))} {
+  MESH_REQUIRE(params_.csThresholdW > 0.0 && params_.csThresholdW < kStrongW);
+}
 
 bool Radio::computeBusy() const {
   if (failed_) return false;  // powered off: senses nothing
   if (isTransmitting() || lockedActive_) return true;
-  return inbandPowerW_ >= params_.csThresholdW;
+  return strongCount_ > 0 || energy_ >= csQuanta_;
 }
 
 void Radio::setMediumListening(bool listening) {
@@ -44,129 +71,57 @@ void Radio::setFailed(bool failed) {
 void Radio::injectNoise(double powerW, SimTime duration) {
   MESH_REQUIRE(powerW > 0.0 && duration > SimTime::zero());
   sync();
-  const std::uint64_t seq = simulator_.reserveSeq();
-  const SimTime end = simulator_.now() + duration;
-  arrivals_.push_back(Arrival{seq, powerW, end, /*lazy=*/true});
-  inbandPowerW_ += powerW;
-  if (end < lazyEnd_) {  // seqs only grow: an equal end keeps the older one
-    lazyEnd_ = end;
-    lazySeq_ = seq;
-  }
+  addArrival(simulator_.reserveSeq(), simulator_.now() + duration, powerW,
+             /*lazy=*/true);
   ++stats_.noiseBursts;
   if (lockedActive_) reevaluateLockedSinr();
   settle();
 }
 
-// Exact re-sum in vector order; called whenever arrivals are removed so
-// the running total never accumulates cancellation error (subtracting the
-// departed term would drift bitwise from the naive left fold).
-void Radio::resumInbandPower() {
-  double sum = 0.0;
-  SimTime end = SimTime::max();
-  std::uint64_t seq = 0;
-  for (const auto& a : arrivals_) {
-    sum += a.rxPowerW;
-    if (a.lazy && (a.end < end || (a.end == end && a.seq < seq))) {
-      end = a.end;
-      seq = a.seq;
-    }
+void Radio::addArrival(std::uint64_t seq, SimTime end, double powerW,
+                       bool lazy) {
+  const bool strong = isStrong(powerW);
+  const std::int64_t quanta = strong ? 0 : quantaOf(powerW);
+  auto at = arrivals_.end();
+  while (at != arrivals_.begin() && std::prev(at)->end > end) --at;
+  arrivals_.insert(at, Arrival{seq, end, quanta, strong, lazy});
+  energy_ += quanta;
+  if (strong) ++strongCount_;
+  if (lazy && end < lazyEnd_) {  // an equal end keeps the older seq
+    lazyEnd_ = end;
+    lazySeq_ = seq;
   }
-  inbandPowerW_ = sum;
-  lazyEnd_ = end;
-  lazySeq_ = seq;
-}
-
-double Radio::interferenceFor(std::uint64_t excludedSeq) const {
-  double sum = 0.0;
-  for (const auto& a : arrivals_) {
-    if (a.seq != excludedSeq) sum += a.rxPowerW;
-  }
-  return sum;
-}
-
-bool Radio::busyAfter(const Arrival& last) const {
-  if (failed_) return false;
-  if (txUntil_ > last.end || lockedActive_) return true;
-  // The same vector-order fold the end events' re-sums computed.
-  double sum = 0.0;
-  for (const auto& a : arrivals_) {
-    const bool retired =
-        a.lazy && (a.end < last.end || (a.end == last.end && a.seq <= last.seq));
-    if (!retired) sum += a.rxPowerW;
-  }
-  return sum >= params_.csThresholdW;
-}
-
-const Radio::Arrival* Radio::firstIdleEnd(bool dueOnly) {
-  lazyOrder_.clear();
-  for (std::uint32_t i = 0; i < arrivals_.size(); ++i) {
-    const Arrival& a = arrivals_[i];
-    if (a.lazy && (!dueOnly || simulator_.reached(a.end, a.seq))) {
-      lazyOrder_.push_back(i);
-    }
-  }
-  if (lazyOrder_.empty()) return nullptr;
-  std::sort(lazyOrder_.begin(), lazyOrder_.end(),
-            [this](std::uint32_t x, std::uint32_t y) {
-              const Arrival& a = arrivals_[x];
-              const Arrival& b = arrivals_[y];
-              return a.end < b.end || (a.end == b.end && a.seq < b.seq);
-            });
-  // Retiring only lowers the sum, and tx/lock state is fixed between entry
-  // points, so "still busy" holds for a prefix of the key order: one check
-  // of the last end, then a binary search for the first idle one.
-  const auto busy = [this](std::uint32_t i) { return busyAfter(arrivals_[i]); };
-  if (!dueOnly && busy(lazyOrder_.back())) return nullptr;  // (due: known)
-  return &arrivals_[*std::partition_point(lazyOrder_.begin(),
-                                          lazyOrder_.end() - 1, busy)];
 }
 
 void Radio::retireLazyEnds() {
-  // As end events, the due ends would each have erased their arrival,
-  // re-summed and reported a busy→idle edge if the medium went idle. The
-  // survivors' vector-order fold is exactly the last of those re-sums.
-  // Removals only lower the sum, so a batch holds at most one edge, and
-  // only if the medium reads idle once the whole batch is gone: search for
-  // it then.
-  const Arrival* edge = nullptr;
-  if (reportedBusy_) {
-    double sum = 0.0;
-    const Arrival* lastDue = nullptr;
-    std::size_t due = 0;
-    for (const Arrival& a : arrivals_) {
-      if (!a.lazy || !simulator_.reached(a.end, a.seq)) {
-        sum += a.rxPowerW;
-      } else {
-        ++due;
-        if (lastDue == nullptr || a.end > lastDue->end) lastDue = &a;
-      }
+  // The due ends lead arrivals_ in key order. The only other entry they
+  // can share that prefix with is a locked end whose event is executing
+  // now; endArrival removes it. Each due end leaves as its end event
+  // would have: its energy leaves the sum, and if the medium then reads
+  // idle, the busy→idle edge is at its own instant. Removals only lower
+  // the sum, so a batch holds at most one edge.
+  bool busy = reportedBusy_;
+  SimTime edgeAt = SimTime::zero();
+  auto kept = arrivals_.begin();
+  auto it = arrivals_.begin();
+  for (; it != arrivals_.end() && simulator_.reached(it->end, it->seq); ++it) {
+    if (!it->lazy) {
+      *kept++ = *it;
+      continue;
     }
-    const bool idleAfter = !failed_ && txUntil_ <= lastDue->end &&
-                           !lockedActive_ && sum < params_.csThresholdW;
-    if (idleAfter) edge = due == 1 ? lastDue : firstIdleEnd(/*dueOnly=*/true);
-  }
-  const SimTime edgeAt = edge != nullptr ? edge->end : SimTime::zero();
-
-  double sum = 0.0;
-  std::size_t kept = 0;
-  lazyEnd_ = SimTime::max();
-  for (std::size_t i = 0; i < arrivals_.size(); ++i) {
-    Arrival& a = arrivals_[i];
-    if (a.lazy) {
-      if (simulator_.reached(a.end, a.seq)) continue;
-      if (a.end < lazyEnd_ || (a.end == lazyEnd_ && a.seq < lazySeq_)) {
-        lazyEnd_ = a.end;
-        lazySeq_ = a.seq;
-      }
+    energy_ -= it->quanta;
+    if (it->strong) --strongCount_;
+    if (busy && idleAfter(it->end, energy_, strongCount_)) {
+      busy = false;
+      edgeAt = it->end;
     }
-    sum += a.rxPowerW;
-    if (kept != i) arrivals_[kept] = std::move(a);
-    ++kept;
   }
-  arrivals_.erase(arrivals_.begin() + static_cast<std::ptrdiff_t>(kept),
-                  arrivals_.end());
-  inbandPowerW_ = sum;
-  if (edge != nullptr) recordIdleEdge(edgeAt);
+  arrivals_.erase(kept, it);
+  const auto next = std::find_if(arrivals_.begin(), arrivals_.end(),
+                                 [](const Arrival& a) { return a.lazy; });
+  lazyEnd_ = next != arrivals_.end() ? next->end : SimTime::max();
+  lazySeq_ = next != arrivals_.end() ? next->seq : 0;
+  if (busy != reportedBusy_) recordIdleEdge(edgeAt);
 }
 
 void Radio::recordIdleEdge(SimTime at) {
@@ -199,7 +154,17 @@ void Radio::armCrossing() {
   // is the first lazy end after which the medium reads idle.
   const Arrival* next = nullptr;
   if (listening_ && reportedBusy_ && !lockedActive_ && !failed_) {
-    next = firstIdleEnd(/*dueOnly=*/false);
+    EnergySum energy = energy_;
+    std::uint32_t strong = strongCount_;
+    for (const Arrival& a : arrivals_) {
+      if (!a.lazy) continue;
+      energy -= a.quanta;
+      if (a.strong) --strong;
+      if (idleAfter(a.end, energy, strong)) {
+        next = &a;
+        break;
+      }
+    }
   }
   const std::uint64_t seq = next != nullptr ? next->seq : 0;
   if (seq == crossingSeq_) return;
@@ -278,9 +243,8 @@ void Radio::endTransmit() {
   settle();
 }
 
-void Radio::beginArrival(const PhyFramePtr& frame, net::NodeId transmitter,
-                         double rxPowerW, SimTime airtime,
-                         bool perCorrupted) {
+void Radio::beginArrival(const PhyFramePtr& frame, double rxPowerW,
+                         SimTime airtime, bool perCorrupted) {
   sync();
   if (failed_) {
     // Powered off: the energy never enters the receive chain (and never
@@ -292,27 +256,21 @@ void Radio::beginArrival(const PhyFramePtr& frame, net::NodeId transmitter,
   // The end's seq is taken here, where an end event would be scheduled.
   const std::uint64_t seq = simulator_.reserveSeq();
   const SimTime end = simulator_.now() + airtime;
-  arrivals_.push_back(Arrival{seq, rxPowerW, end, /*lazy=*/true});
-  // Appending extends the left-fold sum by one term: still bit-exact.
-  inbandPowerW_ += rxPowerW;
-
   const bool decodable = rxPowerW >= params_.rxThresholdW;
-  if (decodable && !isTransmitting() && !lockedActive_) {
+  const bool lock = decodable && !isTransmitting() && !lockedActive_;
+  addArrival(seq, end, rxPowerW, /*lazy=*/!lock);
+
+  if (lock) {
     // Lock onto this frame; only a locked frame's end is an event.
     lockedActive_ = true;
     lockedSeq_ = seq;
     lockedCorrupted_ = false;
     lockedFrame_ = frame;
-    lockedTransmitter_ = transmitter;
+    lockedPowerW_ = rxPowerW;
     lockedPerCorrupted_ = perCorrupted;
-    arrivals_.back().lazy = false;
     simulator_.scheduleReservedAt(end, seq, [this, seq] { endArrival(seq); });
     reevaluateLockedSinr();
   } else {
-    if (end < lazyEnd_) {  // seqs only grow: an equal end keeps the older one
-      lazyEnd_ = end;
-      lazySeq_ = seq;
-    }
     if (decodable) {
       // Strong enough to decode, but the radio is occupied.
       ++stats_.framesMissedBusy;
@@ -337,9 +295,9 @@ void Radio::endArrival(std::uint64_t seq) {
   const auto it = std::find_if(arrivals_.begin(), arrivals_.end(),
                                [seq](const Arrival& a) { return a.seq == seq; });
   MESH_ASSERT(it != arrivals_.end() && !it->lazy);
-  const double rxPowerW = it->rxPowerW;
+  energy_ -= it->quanta;
+  if (it->strong) --strongCount_;
   arrivals_.erase(it);
-  resumInbandPower();
 
   if (lockedActive_ && lockedSeq_ == seq) {
     lockedActive_ = false;
@@ -358,14 +316,7 @@ void Radio::endArrival(std::uint64_t seq) {
     } else {
       ++stats_.framesDelivered;
       stats_.bytesDelivered += frame->sizeBytes();
-      if (rxCallback_) {
-        RxInfo info;
-        info.transmitter = lockedTransmitter_;
-        info.rxPowerW = rxPowerW;
-        const double denom = params_.noiseFloorW + interferenceFor(seq);
-        info.sinr = rxPowerW / denom;
-        rxCallback_(frame, info);
-      }
+      if (rxCallback_) rxCallback_(frame);
     }
     lockedCorrupted_ = false;
   } else if (lockedActive_) {
@@ -379,11 +330,14 @@ void Radio::endArrival(std::uint64_t seq) {
 void Radio::reevaluateLockedSinr() {
   MESH_ASSERT(lockedActive_);
   if (lockedCorrupted_) return;
-  const auto it = std::find_if(arrivals_.begin(), arrivals_.end(),
-                               [this](const Arrival& a) { return a.seq == lockedSeq_; });
-  MESH_ASSERT(it != arrivals_.end());
+  // A strong interferer corrupts outright: no frame reaches 10 dB over it.
+  const bool strong = isStrong(lockedPowerW_);
+  const EnergySum others = energy_ - (strong ? 0 : quantaOf(lockedPowerW_));
   const double sinr =
-      it->rxPowerW / (params_.noiseFloorW + interferenceFor(lockedSeq_));
+      strongCount_ > (strong ? 1u : 0u)
+          ? 0.0
+          : lockedPowerW_ / (params_.noiseFloorW +
+                             static_cast<double>(others) * 0x1p-64);
   if (sinr < params_.sinrCaptureThreshold) {
     lockedCorrupted_ = true;
     MESH_TRACE("phy", "node %u: locked frame corrupted (sinr=%.2f)", node_, sinr);

@@ -15,6 +15,14 @@
 //  * A frame arriving while the radio is transmitting is never decoded
 //    (half-duplex) but its energy still counts for carrier sense.
 //
+// Energy is exact integer arithmetic (DESIGN §8.3). Each arrival's power
+// is rounded once to a count of 2^-64 W quanta and summed in 128 bits, so
+// adding and removing a term are exact and commute. An arrival of 0.25 W
+// or more (only a fault burst gets there) is "strong": it is counted, not
+// summed. While one is present the medium reads busy and any other
+// locked frame is corrupted, which is exact because no frame a link model
+// can draw would survive 10 dB capture against it.
+//
 // The MAC observes the medium through mediumBusy() and lastIdleEdge()
 // plus a busy/idle edge callback, and receives successfully decoded frames
 // via the rx callback.
@@ -22,12 +30,12 @@
 // Arrival ends are mostly not events. beginArrival reserves the end's seq
 // (Simulator::reserveSeq), so the end keeps the (time, seq) key an end
 // event scheduled there would have; only the locked frame's end is pushed
-// with it. Every other end stays in arrivals_ and sync() retires it once
-// the executing event is past that key, with the effects an end event
-// would have had: the power sum is re-summed in vector order and a
-// busy→idle edge is recorded at the end's own instant (busyTime(),
-// lastIdleEdge()). Every entry point and query calls sync() first; it is
-// O(1) while no lazy end is due.
+// with it. arrivals_ is kept in that key order. Every other end stays in
+// arrivals_ until sync() retires it, once the executing event is past its
+// key, with the effects an end event would have had: its energy leaves
+// the sum and a busy→idle edge is recorded at the end's own instant
+// (busyTime(), lastIdleEdge()). Every entry point and query calls sync()
+// first; it is O(1) while no lazy end is due.
 //
 // Busy/idle edge callback: delivered only while a listener subscribes
 // (setMediumListening(true)), at the edge's exact (time, seq). Busy edges
@@ -56,13 +64,6 @@ namespace mesh::phy {
 
 class Channel;
 
-// Delivered to the MAC together with a successfully received frame.
-struct RxInfo {
-  net::NodeId transmitter{net::kInvalidNode};
-  double rxPowerW{0.0};
-  double sinr{0.0};  // SINR at end of reception
-};
-
 struct RadioStats {
   std::uint64_t framesSent{0};
   std::uint64_t framesDelivered{0};      // decoded and handed to MAC
@@ -79,7 +80,7 @@ struct RadioStats {
 
 class Radio {
  public:
-  using RxCallback = std::function<void(const PhyFramePtr&, const RxInfo&)>;
+  using RxCallback = std::function<void(const PhyFramePtr&)>;
   using MediumCallback = std::function<void(bool busy)>;
 
   Radio(sim::Simulator& simulator, net::NodeId node, PhyParams params);
@@ -169,19 +170,23 @@ class Radio {
   // `perCorrupted` marks a frame the channel's per-rate error model already
   // killed: its energy behaves normally (carrier sense, interference, it
   // still locks the receiver) but the decode fails at the end.
-  void beginArrival(const PhyFramePtr& frame, net::NodeId transmitter,
-                    double rxPowerW, SimTime airtime,
-                    bool perCorrupted = false);
+  void beginArrival(const PhyFramePtr& frame, double rxPowerW,
+                    SimTime airtime, bool perCorrupted = false);
 
  private:
-  // Identified by its end's reserved seq. Only energy: the frame of the
-  // one arrival that can still be decoded is held by the lock
-  // (lockedFrame_).
+  // 8-byte aligned: a 16-byte-aligned Radio grows every MeshNode, and
+  // building a 5000-node world measured slower with it.
+  __extension__ typedef __int128 EnergySum __attribute__((aligned(8)));
+
+  // Identified by its end's reserved seq; arrivals_ is ordered by
+  // (end, seq). Only energy: the frame of the one arrival that can still
+  // be decoded is held by the lock (lockedFrame_).
   struct Arrival {
     std::uint64_t seq;
-    double rxPowerW;
     SimTime end;
-    bool lazy;  // no end event: retired by sync()
+    std::int64_t quanta;  // power in 2^-64 W; 0 when strong
+    bool strong;          // counted in strongCount_ instead
+    bool lazy;            // no end event: retired by sync()
   };
 
   // Retires every lazy end the executing event has passed. Inline early
@@ -190,15 +195,18 @@ class Radio {
     if (simulator_.reached(lazyEnd_, lazySeq_)) retireLazyEnds();
   }
   void retireLazyEnds();
-  // After retiring the lazy ends with key <= `last` (in key order): would
-  // the medium read busy at that end's instant?
-  bool busyAfter(const Arrival& last) const;
-  // Sorts the lazy ends (only the due ones if `dueOnly`, whose caller
-  // knows they end idle) by key into lazyOrder_ and returns the first
-  // whose retirement leaves the medium idle, or null when none does.
-  const Arrival* firstIdleEnd(bool dueOnly);
+  // Would the medium read idle once the lazy ends up to one ending at
+  // `end` have retired, leaving `energy` and `strong`? Tx and lock state
+  // only change at entry points, so they hold across a batch.
+  bool idleAfter(SimTime end, EnergySum energy, std::uint32_t strong) const {
+    return txUntil_ <= end && !lockedActive_ && strong == 0 &&
+           energy < csQuanta_;
+  }
   void recordIdleEdge(SimTime at);
 
+  // Inserts at the arrival's key position. Its seq is the newest, so it
+  // goes after every end at or before its own: usually an append.
+  void addArrival(std::uint64_t seq, SimTime end, double powerW, bool lazy);
   void endArrival(std::uint64_t seq);
   void endTransmit();
   void onCrossing();
@@ -207,10 +215,6 @@ class Radio {
   // `lost` and traced with `reason`.
   void dropLock(std::uint64_t& lost, trace::DropReason reason);
 
-  double interferenceFor(std::uint64_t excludedSeq) const;
-  // Exact re-sum of inbandPowerW_ in vector order; also refreshes the
-  // earliest lazy end.
-  void resumInbandPower();
   void reevaluateLockedSinr();
   bool computeBusy() const;
   // Ends every entry point: reports an edge at now, then re-arms the
@@ -229,21 +233,15 @@ class Radio {
 
   std::vector<Arrival> arrivals_;
 
-  // Running total of arriving signal power, kept exactly equal (bitwise)
-  // to a fresh left-to-right sum over arrivals_: appends accumulate
-  // incrementally (which IS the left fold extended by one term) and every
-  // removal triggers an exact re-sum in resumInbandPower(). Carrier-sense
-  // queries become O(1) with no FP drift relative to the naive loop.
-  double inbandPowerW_{0.0};
-
+  // The locked arrival's power as drawn: the capture numerator.
+  double lockedPowerW_{0.0};
   bool lockedActive_{false};
   std::uint64_t lockedSeq_{0};
   bool lockedCorrupted_{false};
   bool failed_{false};  // fault injection: radio powered off
-  // The locked arrival's frame, sender and per-rate verdict; the frame is
+  // The locked arrival's frame and per-rate verdict; the frame is
   // released when the lock ends.
   PhyFramePtr lockedFrame_;
-  net::NodeId lockedTransmitter_{net::kInvalidNode};
   bool lockedPerCorrupted_{false};
 
   SimTime txUntil_{SimTime::zero()};
@@ -256,15 +254,17 @@ class Radio {
   SimTime busyAccum_{SimTime::zero()};
   RadioStats stats_;
 
-  // Lazy-end and listener state, placed last: building a 5000-node world
-  // reads node_, params_ and failed_ of every candidate receiver, and
-  // measured slower with these fields ahead of them.
+  // Energy, lazy-end and listener state, placed last: building a 5000-node
+  // world reads node_, params_ and failed_ of every candidate receiver,
+  // and measured slower with these fields ahead of them.
+  EnergySum energy_{0};    // Σ quanta of the non-strong arrivals
+  std::int64_t csQuanta_;  // ceil(csThresholdW × 2^64)
   // Earliest lazy end key; SimTime::max() when there is none.
   SimTime lazyEnd_{SimTime::max()};
   std::uint64_t lazySeq_{0};
-  std::vector<std::uint32_t> lazyOrder_;  // scratch for firstIdleEnd
   SimTime lastIdleEdge_{SimTime::zero()};
   bool listening_{false};
+  std::uint32_t strongCount_{0};  // arrivals of 0.25 W or more
   sim::EventId crossingId_;
   std::uint64_t crossingSeq_{0};  // armed end's seq (unique); 0: disarmed
 };

@@ -1,6 +1,7 @@
 #include "mesh/trace/trace_reader.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,6 +27,35 @@ bool findValue(std::string_view line, std::string_view key,
   return !value.empty();
 }
 
+// The raw text of a flat value: up to the next ',' or '}'.
+std::string tokenOf(std::string_view value) {
+  return std::string{value.substr(0, value.find_first_of(",}"))};
+}
+
+// Reads a present real field, whole and finite, into `out` if it lies in
+// [lo, hi]; otherwise sets `error` (unless an earlier field set it) in the
+// form `narrow` uses. An absent field reads, leaving `out` alone.
+bool readReal(std::string_view line, const char* key, double lo, double hi,
+              double& out, std::string& error) {
+  std::string_view value;
+  if (!findValue(line, key, value)) return true;
+  double v = 0.0;
+  if (jsonFindDouble(line, key, v) && std::isfinite(v) && v >= lo && v <= hi) {
+    out = v;
+    return true;
+  }
+  if (!error.empty()) return false;
+  char range[64];
+  if (std::isinf(hi)) {
+    std::snprintf(range, sizeof(range), ">= %g", lo);
+  } else {
+    std::snprintf(range, sizeof(range), "in %g..%g", lo, hi);
+  }
+  error = std::string{"\""} + key + "\" must be a number " + range +
+          ", got " + tokenOf(value);
+  return false;
+}
+
 bool kindFromString(const std::string& text, net::PacketKind& out) {
   for (int i = 0; i <= static_cast<int>(net::PacketKind::MacControl); ++i) {
     const auto kind = static_cast<net::PacketKind>(i);
@@ -43,11 +73,13 @@ bool jsonFindInt(std::string_view line, std::string_view key,
                  std::int64_t& out) {
   std::string_view value;
   if (!findValue(line, key, value)) return false;
-  const std::string token{value.substr(0, value.find_first_of(",}"))};
+  const std::string token = tokenOf(value);
   errno = 0;
   char* end = nullptr;
   const long long v = std::strtoll(token.c_str(), &end, 10);
-  if (errno != 0 || end == token.c_str()) return false;
+  if (errno != 0 || token.empty() || end != token.c_str() + token.size()) {
+    return false;
+  }
   out = v;
   return true;
 }
@@ -63,11 +95,13 @@ bool jsonFindUint(std::string_view line, std::string_view key,
 bool jsonFindDouble(std::string_view line, std::string_view key, double& out) {
   std::string_view value;
   if (!findValue(line, key, value)) return false;
-  const std::string token{value.substr(0, value.find_first_of(",}"))};
+  const std::string token = tokenOf(value);
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(token.c_str(), &end);
-  if (errno != 0 || end == token.c_str()) return false;
+  if (errno != 0 || token.empty() || end != token.c_str() + token.size()) {
+    return false;
+  }
   out = v;
   return true;
 }
@@ -146,9 +180,13 @@ TraceReadResult readTraceFile(const std::string& path) {
     if (line.empty()) continue;
 
     std::string text;
+    std::string badField;
     std::uint64_t u = 0;
     if (!sawMeta) {
       // First line is the meta object.
+      if (!readReal(line, "active_s", 0.0, HUGE_VAL, trace.activeS, badField)) {
+        return fail(badField);
+      }
       if (!jsonFindUint(line, "seed", trace.seed) ||
           !jsonFindString(line, "protocol", trace.protocol) ||
           !jsonFindUint(line, "nodes", trace.nodes) ||
@@ -174,7 +212,6 @@ TraceReadResult readTraceFile(const std::string& path) {
     // Narrows a present unsigned field into its record field. A value
     // outside [0, max] is an error, never truncated or dropped: 65547 must
     // not read as node 11, nor -1 as an absent pid.
-    std::string badField;
     const auto narrow = [&](const char* key, std::uint64_t max, auto& out) {
       std::string_view value;
       if (!findValue(line, key, value)) return false;
@@ -183,8 +220,7 @@ TraceReadResult readTraceFile(const std::string& path) {
           static_cast<std::uint64_t>(v) > max) {
         if (badField.empty()) {
           badField = std::string{"\""} + key + "\" must be an integer in 0.." +
-                     std::to_string(max) + ", got " +
-                     std::string{value.substr(0, value.find_first_of(",}"))};
+                     std::to_string(max) + ", got " + tokenOf(value);
         }
         return false;
       }
@@ -218,8 +254,11 @@ TraceReadResult readTraceFile(const std::string& path) {
         return fail("fault record without a known kind");
       }
       narrow("peer", kMaxId, record.peer);
-      jsonFindDouble(line, "loss", record.loss);
-      jsonFindDouble(line, "dbm", record.dbm);
+      // The config's ranges: a loss rate and a burst power.
+      if (!readReal(line, "loss", 0.0, 1.0, record.loss, badField) ||
+          !readReal(line, "dbm", -300.0, 300.0, record.dbm, badField)) {
+        return fail(badField);
+      }
     }
     if (record.type == EventType::GatewayHandoff &&
         !narrow("src_ch", kMaxChannel, record.srcChannel) &&

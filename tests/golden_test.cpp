@@ -1,4 +1,4 @@
-// Golden digests: five traced runs whose trace bytes, event counts and
+// Golden digests: six traced runs whose trace bytes, event counts and
 // delivery counts are pinned to fixed values (DESIGN §8.6, "golden v2").
 //
 // Each run covers one kind of world the Simulation builds:
@@ -7,6 +7,9 @@
 //  * the 50-node cell under random-waypoint mobility (live positions,
 //    periodic reachability refresh);
 //  * the 50-node cell under seeded churn (crashes, blackouts, bursts);
+//  * the 50-node cell under mobility and churn together (live positions
+//    while crashed radios are skipped at transmit time and bursts overlap
+//    frames);
 //  * a 150-node world on three channels with six gateways, Minstrel rate
 //    control and crash churn (collision domains on worker threads, gateway
 //    ports, the rate-aware counter row, per-domain recovery).
@@ -139,6 +142,21 @@ TEST(Golden, PaperCellChurn60s) {
   config.churn = churn;
   const harness::RunResults results = expectGolden(
       std::move(config), "churn", {65130985040731197ull, 2483567u, 14195u});
+  EXPECT_GT(results.faultsApplied, 0u);
+}
+
+TEST(Golden, MobilityChurn30s) {
+  harness::ScenarioConfig config = paperCell(51, 30, 5);
+  config.mobilityMaxSpeedMps = 10.0;
+  config.protocol = harness::ProtocolSpec::with(metrics::MetricKind::Etx);
+  fault::ChurnSpec churn;
+  churn.crashesPerMinute = 6.0;
+  churn.burstsPerMinute = 6.0;
+  churn.warmup = 10_s;
+  config.churn = churn;
+  const harness::RunResults results = expectGolden(
+      std::move(config), "mobility_churn",
+      {2024579074842030183ull, 784100u, 6230u});
   EXPECT_GT(results.faultsApplied, 0u);
 }
 

@@ -12,6 +12,7 @@
 
 #include "mesh/common/rng.hpp"
 #include "mesh/common/stats.hpp"
+#include "mesh/common/units.hpp"
 #include "mesh/phy/channel.hpp"
 #include "mesh/phy/fading.hpp"
 #include "mesh/phy/frame.hpp"
@@ -193,11 +194,9 @@ TEST(Radio, DeliversFrameWithinRange) {
   Rig rig{{{0, 0}, {100, 0}}};
   int delivered = 0;
   rig.radios[1]->setReceiveCallback(
-      [&](const PhyFramePtr& f, const RxInfo& info) {
+      [&](const PhyFramePtr& f) {
         ++delivered;
         EXPECT_EQ(f->sizeBytes(), 100u);
-        EXPECT_EQ(info.transmitter, 0);
-        EXPECT_GT(info.sinr, 10.0);
       });
   rig.radios[0]->transmit(rig.frame(), rig.airtime());
   rig.simulator.run();
@@ -210,7 +209,7 @@ TEST(Radio, NoDeliveryBeyondReceptionRange) {
   Rig rig{{{0, 0}, {400, 0}}};
   int delivered = 0;
   rig.radios[1]->setReceiveCallback(
-      [&](const PhyFramePtr&, const RxInfo&) { ++delivered; });
+      [&](const PhyFramePtr&) { ++delivered; });
   rig.radios[0]->transmit(rig.frame(), rig.airtime());
   rig.simulator.run();
   EXPECT_EQ(delivered, 0);
@@ -247,7 +246,7 @@ void weakArrivalAt(sim::Simulator& simulator, Radio& radio, SimTime at,
     const double powerW = radio.params().csThresholdW * fraction;
     ASSERT_LT(powerW, radio.params().rxThresholdW);
     radio.beginArrival(makeFrame(std::vector<std::uint8_t>(20, 0), nullptr),
-                       7, powerW, airtime);
+                       powerW, airtime);
   });
 }
 
@@ -305,6 +304,129 @@ TEST(Radio, ListeningMacGetsIdleEdgeAtExactEnd) {
   EXPECT_EQ(radio.busyTime(), 2_ms);
 }
 
+// Energy no frame can carry: a 300 dBm (1e27 W) burst reads busy,
+// corrupts the lock in progress, and the medium goes idle at the burst's
+// own end, not before and not later.
+TEST(Radio, ThreeHundredDbmBurstIsBusyCorruptsAndEndsExactly) {
+  Rig rig{{{0, 0}, {100, 0}}};
+  Radio& rx = *rig.radios[1];
+  int delivered = 0;
+  rx.setReceiveCallback([&](const PhyFramePtr&) { ++delivered; });
+  std::vector<std::pair<bool, SimTime>> edges;
+  rx.setMediumCallback(
+      [&](bool busy) { edges.emplace_back(busy, rig.simulator.now()); });
+  rx.setMediumListening(true);
+  const SimTime airtime = rig.airtime();
+  const SimTime burstEnd = airtime / 2 + airtime;  // outlasts the frame
+  rig.radios[0]->transmit(rig.frame(), airtime);
+  rig.simulator.schedule(airtime / 2,
+                         [&] { rx.injectNoise(dbmToWatts(300.0), airtime); });
+  bool busyAfterFrame = false;
+  rig.simulator.schedule(airtime + airtime / 4,
+                         [&] { busyAfterFrame = rx.mediumBusy(); });
+  rig.simulator.run(1_s);
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(rx.stats().framesCorrupted, 1u);
+  EXPECT_TRUE(busyAfterFrame);
+  ASSERT_EQ(edges.size(), 2u);
+  EXPECT_TRUE(edges[0].first);
+  EXPECT_FALSE(edges[1].first);
+  EXPECT_EQ(edges[1].second, burstEnd);
+  EXPECT_EQ(rx.lastIdleEdge(), burstEnd);
+  EXPECT_FALSE(rx.mediumBusy());
+}
+
+// Three overlapping 23 dBm (0.2 W) bursts: 0.6 W together, more than a
+// signed 64-bit count of 2^-64 W quanta holds. The medium stays busy
+// while they overlap, the frame they hit is lost, and once they are gone
+// the energy is back to exactly nothing: the next frame decodes.
+TEST(Radio, OverlappingTwentyThreeDbmBurstsStayBusy) {
+  Rig rig{{{0, 0}, {100, 0}}};
+  Radio& rx = *rig.radios[1];
+  int delivered = 0;
+  rx.setReceiveCallback([&](const PhyFramePtr&) { ++delivered; });
+  std::vector<std::pair<bool, SimTime>> edges;
+  rx.setMediumCallback(
+      [&](bool busy) { edges.emplace_back(busy, rig.simulator.now()); });
+  rx.setMediumListening(true);
+  const SimTime airtime = rig.airtime();
+  rig.radios[0]->transmit(rig.frame(), airtime);
+  for (const SimTime at : {100_us, 200_us, 300_us}) {
+    rig.simulator.schedule(at, [&] { rx.injectNoise(dbmToWatts(23.0), airtime); });
+  }
+  std::vector<bool> busy;
+  for (const SimTime at : {350_us, airtime + 250_us, airtime + 299_us}) {
+    rig.simulator.schedule(at, [&] { busy.push_back(rx.mediumBusy()); });
+  }
+  const SimTime lastEnd = 300_us + airtime;
+  rig.simulator.schedule(lastEnd + 1_ms, [&] {
+    rig.radios[0]->transmit(rig.frame(), airtime);
+  });
+  rig.simulator.run(1_s);
+  EXPECT_EQ(busy, (std::vector<bool>{true, true, true}));
+  EXPECT_EQ(rx.stats().framesCorrupted, 1u);
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(rx.stats().framesDelivered, 1u);
+  // Busy from the first frame's arrival to the last burst's end, then for
+  // the second frame.
+  ASSERT_EQ(edges.size(), 4u);
+  const SimTime delay = edges[0].second;
+  const std::vector<std::pair<bool, SimTime>> want{
+      {true, delay},
+      {false, lastEnd},
+      {true, lastEnd + 1_ms + delay},
+      {false, lastEnd + 1_ms + delay + airtime}};
+  EXPECT_EQ(edges, want);
+  EXPECT_EQ(rx.busyTime(), lastEnd - delay + airtime);
+  EXPECT_FALSE(rx.mediumBusy());
+}
+
+// A -300 dBm (1e-33 W) burst is far below anything carrier sense or
+// capture can resolve: the same cell with and without it makes the same
+// decisions at the same instants.
+TEST(Radio, MinusThreeHundredDbmBurstChangesNoDecision) {
+  struct Outcome {
+    std::vector<std::pair<bool, SimTime>> edges;
+    RadioStats stats;
+    SimTime busyTime;
+  };
+  const auto runCell = [](bool withBurst) {
+    // A decodable sender at 100 m and a carrier-sense-only one at 400 m
+    // that overlaps its frame; then a lone arrival just below carrier
+    // sense.
+    Rig rig{{{0, 0}, {100, 0}, {500, 0}}};
+    Radio& rx = *rig.radios[1];
+    Outcome out;
+    rx.setMediumCallback(
+        [&](bool busy) { out.edges.emplace_back(busy, rig.simulator.now()); });
+    rx.setMediumListening(true);
+    const SimTime airtime = rig.airtime();
+    if (withBurst) {
+      rig.simulator.schedule(10_us, [&] { rx.injectNoise(dbmToWatts(-300.0), 50_ms); });
+    }
+    rig.radios[0]->transmit(rig.frame(), airtime);
+    rig.simulator.schedule(airtime / 2, [&] {
+      rig.radios[2]->transmit(rig.frame(), airtime);
+    });
+    weakArrivalAt(rig.simulator, rx, 20_ms, 0.999, 1_ms);
+    rig.simulator.run(1_s);
+    out.stats = rx.stats();
+    out.busyTime = rx.busyTime();
+    return out;
+  };
+  const Outcome clean = runCell(false);
+  const Outcome burst = runCell(true);
+  EXPECT_EQ(burst.stats.noiseBursts, 1u);
+  EXPECT_EQ(clean.stats.framesDelivered, 1u);
+  EXPECT_EQ(clean.stats.framesBelowThreshold, 2u);
+  EXPECT_EQ(burst.edges, clean.edges);
+  EXPECT_EQ(burst.busyTime, clean.busyTime);
+  EXPECT_EQ(burst.stats.framesDelivered, clean.stats.framesDelivered);
+  EXPECT_EQ(burst.stats.framesCorrupted, clean.stats.framesCorrupted);
+  EXPECT_EQ(burst.stats.framesBelowThreshold, clean.stats.framesBelowThreshold);
+  EXPECT_EQ(burst.stats.framesMissedBusy, clean.stats.framesMissedBusy);
+}
+
 TEST(Radio, OutOfSensingRangeIsSilent) {
   Rig rig{{{0, 0}, {1400, 0}}};
   bool sensedBusy = false;
@@ -320,7 +442,7 @@ TEST(Radio, SimultaneousTransmissionsCollide) {
   Rig rig{{{0, 0}, {200, 0}, {100, 0}}};
   int delivered = 0;
   rig.radios[2]->setReceiveCallback(
-      [&](const PhyFramePtr&, const RxInfo&) { ++delivered; });
+      [&](const PhyFramePtr&) { ++delivered; });
   rig.radios[0]->transmit(rig.frame(), rig.airtime());
   rig.radios[1]->transmit(rig.frame(), rig.airtime());
   rig.simulator.run();
@@ -334,7 +456,7 @@ TEST(Radio, CaptureStrongFrameSurvivesWeakInterference) {
   Rig rig{{{0, 0}, {500, 100}, {50, 0}}};
   int delivered = 0;
   rig.radios[2]->setReceiveCallback(
-      [&](const PhyFramePtr&, const RxInfo&) { ++delivered; });
+      [&](const PhyFramePtr&) { ++delivered; });
   rig.radios[0]->transmit(rig.frame(), rig.airtime());
   rig.radios[1]->transmit(rig.frame(), rig.airtime());
   rig.simulator.run();
@@ -347,7 +469,7 @@ TEST(Radio, LateInterferenceCorruptsLockedFrame) {
   Rig rig{{{0, 0}, {200, 0}, {100, 0}}};
   int delivered = 0;
   rig.radios[2]->setReceiveCallback(
-      [&](const PhyFramePtr&, const RxInfo&) { ++delivered; });
+      [&](const PhyFramePtr&) { ++delivered; });
   rig.radios[0]->transmit(rig.frame(), rig.airtime());
   rig.simulator.schedule(rig.airtime() / 2, [&] {
     rig.radios[1]->transmit(rig.frame(), rig.airtime());
@@ -361,7 +483,7 @@ TEST(Radio, HalfDuplexCannotReceiveWhileTransmitting) {
   Rig rig{{{0, 0}, {100, 0}}};
   int delivered = 0;
   rig.radios[1]->setReceiveCallback(
-      [&](const PhyFramePtr&, const RxInfo&) { ++delivered; });
+      [&](const PhyFramePtr&) { ++delivered; });
   // Radio 1 transmits for the whole window radio 0's frame arrives in.
   rig.radios[1]->transmit(rig.frame(1000), rig.airtime(1000));
   rig.radios[0]->transmit(rig.frame(), rig.airtime());
@@ -374,7 +496,7 @@ TEST(Radio, SecondDecodableFrameWhileLockedIsMissed) {
   Rig rig{{{0, 0}, {40, 150}, {40, 0}}};
   int delivered = 0;
   rig.radios[2]->setReceiveCallback(
-      [&](const PhyFramePtr&, const RxInfo&) { ++delivered; });
+      [&](const PhyFramePtr&) { ++delivered; });
   rig.radios[0]->transmit(rig.frame(), rig.airtime());
   // Radio 1 is at 150 m from the receiver: decodable in isolation
   // (~7.7x the threshold) but ~16 dB below radio 0's 40 m frame, so it
@@ -402,7 +524,7 @@ TEST(Radio, RayleighLinkAtNominalRangeLosesAboutSixtyPercent) {
   Rig rig{{{0, 0}, {250, 0}}, /*rayleigh=*/true};
   int delivered = 0;
   rig.radios[1]->setReceiveCallback(
-      [&](const PhyFramePtr&, const RxInfo&) { ++delivered; });
+      [&](const PhyFramePtr&) { ++delivered; });
   constexpr int kFrames = 4000;
   for (int i = 0; i < kFrames; ++i) {
     rig.simulator.schedule(SimTime::milliseconds(i * 10),
@@ -416,7 +538,7 @@ TEST(Radio, RayleighShortLinkIsReliable) {
   Rig rig{{{0, 0}, {100, 0}}, /*rayleigh=*/true};
   int delivered = 0;
   rig.radios[1]->setReceiveCallback(
-      [&](const PhyFramePtr&, const RxInfo&) { ++delivered; });
+      [&](const PhyFramePtr&) { ++delivered; });
   constexpr int kFrames = 2000;
   for (int i = 0; i < kFrames; ++i) {
     rig.simulator.schedule(SimTime::milliseconds(i * 10),
@@ -438,9 +560,9 @@ TEST(StaticLinkModel, DirectedLinks) {
   Rig rig{std::move(model), 2};
   int forward = 0, backward = 0;
   rig.radios[1]->setReceiveCallback(
-      [&](const PhyFramePtr&, const RxInfo&) { ++forward; });
+      [&](const PhyFramePtr&) { ++forward; });
   rig.radios[0]->setReceiveCallback(
-      [&](const PhyFramePtr&, const RxInfo&) { ++backward; });
+      [&](const PhyFramePtr&) { ++backward; });
   rig.radios[0]->transmit(rig.frame(), rig.airtime());
   rig.simulator.schedule(100_ms, [&] {
     rig.radios[1]->transmit(rig.frame(), rig.airtime());
@@ -457,7 +579,7 @@ TEST(StaticLinkModel, BernoulliLossRate) {
   Rig rig{std::move(model), 2, /*seed=*/7};
   int delivered = 0;
   rig.radios[1]->setReceiveCallback(
-      [&](const PhyFramePtr&, const RxInfo&) { ++delivered; });
+      [&](const PhyFramePtr&) { ++delivered; });
   constexpr int kFrames = 5000;
   for (int i = 0; i < kFrames; ++i) {
     rig.simulator.schedule(SimTime::milliseconds(i * 5),

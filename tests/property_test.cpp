@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "mesh/common/rng.hpp"
@@ -13,6 +15,9 @@
 #include "mesh/metrics/probe_messages.hpp"
 #include "mesh/odmrp/dup_cache.hpp"
 #include "mesh/odmrp/messages.hpp"
+#include "mesh/phy/frame.hpp"
+#include "mesh/phy/phy_params.hpp"
+#include "mesh/phy/radio.hpp"
 #include "mesh/sim/simulator.hpp"
 #include "mesh/sim/timer.hpp"
 
@@ -222,6 +227,117 @@ TEST(EngineStress, HeavyCancellationKeepsOrdering) {
   EXPECT_EQ(firedAt.size(), 2500u);
   EXPECT_TRUE(std::is_sorted(firedAt.begin(), firedAt.end()));
 }
+
+// ----------------------------------- radio medium edges vs brute force
+
+// One energy-only arrival: never decodable, so its end is lazy.
+struct EnergySpan {
+  SimTime start;
+  SimTime end;
+  double powerW;
+  bool noise;  // injectNoise() rather than beginArrival()
+};
+
+class RadioEdges : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RadioEdges, MatchABruteForceOracle) {
+  // Starts and lengths on coarse grids, so that ends coincide with ends
+  // and with starts; powers spread around carrier sense, so that the
+  // medium flips often and ends retire in batches.
+  const phy::PhyParams params;
+  Rng rng{GetParam() * 7919 + 3};
+  std::vector<EnergySpan> spans;
+  for (int i = 0; i < 240; ++i) {
+    const SimTime start = SimTime::microseconds(rng.uniformInt(0, 799) * 50);
+    const SimTime length = SimTime::microseconds(rng.uniformInt(1, 8) * 100);
+    spans.push_back({start, start + length,
+                     params.csThresholdW * rng.uniform(0.05, 0.6),
+                     rng.bernoulli(0.3)});
+  }
+
+  // Two radios hear the same schedule: `heard` reports its edges to a
+  // listener, `silent` only records them, so its ends retire in batches.
+  sim::Simulator simulator;
+  phy::Radio heard{simulator, 0, params};
+  phy::Radio silent{simulator, 1, params};
+  std::vector<std::pair<bool, SimTime>> edges;
+  heard.setMediumCallback(
+      [&](bool busy) { edges.emplace_back(busy, simulator.now()); });
+  heard.setMediumListening(true);
+  const phy::PhyFramePtr frame =
+      phy::makeFrame(std::vector<std::uint8_t>(20, 0), nullptr);
+  for (const EnergySpan& span : spans) {
+    for (phy::Radio* radio : {&heard, &silent}) {
+      simulator.schedule(span.start, [radio, &span, &frame] {
+        if (span.noise) {
+          radio->injectNoise(span.powerW, span.end - span.start);
+        } else {
+          radio->beginArrival(frame, span.powerW, span.end - span.start);
+        }
+      });
+    }
+  }
+
+  // Oracle. Every begin was scheduled before the run, so at one instant
+  // all begins come before any end. Energy is counted in 2^-64 W quanta;
+  // the medium is busy at ceil(csThresholdW * 2^64) or more.
+  const auto quanta = [](double w) {
+    return static_cast<std::int64_t>(w * 0x1p64 + 0.5);
+  };
+  const auto cs =
+      static_cast<std::int64_t>(std::ceil(params.csThresholdW * 0x1p64));
+  std::vector<SimTime> instants;
+  for (const EnergySpan& span : spans) {
+    instants.push_back(span.start);
+    instants.push_back(span.end);
+  }
+  std::sort(instants.begin(), instants.end());
+  instants.erase(std::unique(instants.begin(), instants.end()), instants.end());
+  std::vector<std::pair<bool, SimTime>> want;
+  std::vector<bool> busyFrom;  // state from instants[i] to instants[i + 1]
+  bool busy = false;
+  for (const SimTime t : instants) {
+    std::int64_t begun = 0;  // begins at t applied, ends at t not yet
+    std::int64_t after = 0;  // every event at t applied
+    for (const EnergySpan& span : spans) {
+      if (span.start <= t && t <= span.end) begun += quanta(span.powerW);
+      if (span.start <= t && t < span.end) after += quanta(span.powerW);
+    }
+    if (!busy && begun >= cs) want.emplace_back(true, t);
+    if ((busy || begun >= cs) && after < cs) want.emplace_back(false, t);
+    busy = after >= cs;
+    busyFrom.push_back(busy);
+  }
+  const auto oracleBusyTime = [&](SimTime horizon) {
+    SimTime total = SimTime::zero();
+    for (std::size_t i = 0; i + 1 < instants.size(); ++i) {
+      if (busyFrom[i] && instants[i] < horizon) {
+        total += std::min(instants[i + 1], horizon) - instants[i];
+      }
+    }
+    return total;
+  };
+  const auto oracleIdleEdge = [&](SimTime horizon) {
+    SimTime last = SimTime::zero();
+    for (const auto& [isBusy, at] : want) {
+      if (!isBusy && at <= horizon) last = at;
+    }
+    return last;
+  };
+
+  for (std::int64_t us = 1525; us <= 45000; us += 1750) {
+    const SimTime horizon = SimTime::microseconds(us);
+    simulator.run(horizon);
+    EXPECT_EQ(silent.busyTime(), oracleBusyTime(horizon)) << "at " << us << " us";
+    EXPECT_EQ(silent.lastIdleEdge(), oracleIdleEdge(horizon)) << "at " << us << " us";
+    EXPECT_EQ(heard.busyTime(), oracleBusyTime(horizon)) << "at " << us << " us";
+  }
+  EXPECT_GE(want.size(), 20u);
+  EXPECT_EQ(edges, want);
+  EXPECT_FALSE(silent.mediumBusy());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RadioEdges, ::testing::Range<std::uint64_t>(1, 6));
 
 }  // namespace
 }  // namespace mesh

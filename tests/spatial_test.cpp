@@ -219,7 +219,7 @@ std::vector<std::uint64_t> broadcastDeliveryCounts(Rig& rig) {
   std::vector<std::uint64_t> delivered(rig.radios.size(), 0);
   for (std::size_t i = 0; i < rig.radios.size(); ++i) {
     rig.radios[i]->setReceiveCallback(
-        [&delivered, i](const PhyFramePtr&, const RxInfo&) {
+        [&delivered, i](const PhyFramePtr&) {
           ++delivered[i];
         });
   }
@@ -472,7 +472,7 @@ TEST(SpatialChannel, MovingNodeCrossingCellsMatchesScanBitForBit) {
           simulator, static_cast<net::NodeId>(i), params));
       channel.attach(*radios.back());
       radios.back()->setReceiveCallback(
-          [&delivered, i](const PhyFramePtr&, const RxInfo&) {
+          [&delivered, i](const PhyFramePtr&) {
             ++delivered[i];
           });
     }

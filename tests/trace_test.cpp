@@ -331,10 +331,16 @@ TEST(TraceReader, NarrowedFieldsOutOfRangeAreLineNumberedErrors) {
   // Each field is narrowed into a smaller record field; a value outside
   // [0, max] must be refused with the line, never wrapped or dropped
   // (65547 used to read as node 11, -1 as an absent field). The maximum
-  // itself still reads.
+  // itself still reads. A present number must be the whole token, and a
+  // real one finite and inside the config's range ("abc" and 1e999 used
+  // to read as loss 0, "1x" as node 1, nan as a burst power).
+  constexpr const char* kMeta =
+      R"({"seed":3,"protocol":"ODMRP","nodes":20,"active_s":100})";
   struct Row {
     const char* record;
     const char* error;  // empty: reads
+    const char* meta = kMeta;
+    int errorLine = 2;
   };
   const std::vector<Row> rows = {
       {R"({"t":1,"ev":"deliver","node":65547,"pid":1,"kind":"data","bytes":512,"origin":0,"group":1})",
@@ -367,20 +373,40 @@ TEST(TraceReader, NarrowedFieldsOutOfRangeAreLineNumberedErrors) {
        R"("src_ch" must be an integer in 0..254, got 255)"},
       {R"({"t":1,"ev":"gateway_handoff","node":1,"pid":1,"kind":"data","bytes":1,"channel":0})",
        "gateway_handoff record without src_ch"},
+      {R"({"t":1,"ev":"deliver","node":1x,"pid":1,"kind":"data","bytes":1})",
+       R"("node" must be an integer in 0..65535, got 1x)"},
+      {R"({"t":1,"ev":"fault_inject","node":1,"fault":"loss","peer":2,"loss":1})", ""},
+      {R"({"t":1,"ev":"fault_inject","node":1,"fault":"loss","peer":2,"loss":abc})",
+       R"("loss" must be a number in 0..1, got abc)"},
+      {R"({"t":1,"ev":"fault_inject","node":1,"fault":"loss","peer":2,"loss":1e999})",
+       R"("loss" must be a number in 0..1, got 1e999)"},
+      {R"({"t":1,"ev":"fault_inject","node":1,"fault":"loss","peer":2,"loss":7.5})",
+       R"("loss" must be a number in 0..1, got 7.5)"},
+      {R"({"t":1,"ev":"fault_inject","node":1,"fault":"burst","peer":65535,"dbm":-300.000})", ""},
+      {R"({"t":1,"ev":"fault_inject","node":1,"fault":"burst","peer":65535,"dbm":nan})",
+       R"("dbm" must be a number in -300..300, got nan)"},
+      {R"({"t":1,"ev":"fault_inject","node":1,"fault":"burst","peer":65535,"dbm":300.5})",
+       R"("dbm" must be a number in -300..300, got 300.5)"},
+      {R"({"t":1,"ev":"deliver","node":1,"pid":1,"kind":"data","bytes":1})",
+       R"("active_s" must be a number >= 0, got -1)",
+       R"({"seed":3,"protocol":"ODMRP","nodes":20,"active_s":-1})", 1},
+      {R"({"t":1,"ev":"deliver","node":1,"pid":1,"kind":"data","bytes":1})",
+       R"("active_s" must be a number >= 0, got inf)",
+       R"({"seed":3,"protocol":"ODMRP","nodes":20,"active_s":inf})", 1},
   };
   const std::string path = testing::TempDir() + "trace_hostile.jsonl";
   for (const Row& row : rows) {
     {
       std::ofstream out{path, std::ios::binary | std::ios::trunc};
-      out << R"({"seed":3,"protocol":"ODMRP","nodes":20,"active_s":100})"
-          << "\n" << row.record << "\n";
+      out << row.meta << "\n" << row.record << "\n";
     }
     const trace::TraceReadResult read = trace::readTraceFile(path);
     if (std::string{row.error}.empty()) {
       EXPECT_TRUE(read.trace.has_value()) << row.record << ": " << read.error;
     } else {
       EXPECT_FALSE(read.trace.has_value()) << row.record;
-      EXPECT_EQ(read.error, path + ":2: " + row.error);
+      EXPECT_EQ(read.error,
+                path + ":" + std::to_string(row.errorLine) + ": " + row.error);
     }
   }
   std::remove(path.c_str());
