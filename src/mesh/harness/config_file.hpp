@@ -29,8 +29,12 @@
 //   sources = 0
 //   members = 10 11 12 13 14
 //
-// Parsing reports errors with line numbers; unknown keys are errors (a
-// typo silently ignored is how experiments go wrong).
+// Every key is one row of a table in config_file.cpp: its section, its
+// name, a typed parse-and-store and the "must be …" text. Errors read
+// "config error at line N: <key> <must be …>"; unknown keys are errors (a
+// typo silently ignored is how experiments go wrong). Node ids are checked
+// against the final `nodes` once the whole file is read, and no node may
+// be the source of two flows.
 
 #include <optional>
 #include <string>
@@ -52,5 +56,12 @@ ConfigParseResult parseScenarioConfig(std::string_view text);
 
 // Reads and parses a file from disk.
 ConfigParseResult loadScenarioConfig(const std::string& path);
+
+// Applies one [scenario] key to `config` by the rules a file uses (the
+// MESH_* overrides go through here). Returns "" once the value is stored,
+// or the "<key> <must be …>" reason it was refused, leaving `config`
+// unchanged. Whole-file checks (id ranges, the traffic window) do not run.
+std::string applyScenarioKey(ScenarioConfig& config, std::string_view key,
+                             std::string_view value);
 
 }  // namespace mesh::harness

@@ -3,6 +3,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
+#include <utility>
+
+#include "mesh/harness/config_file.hpp"
 
 namespace mesh::harness {
 namespace {
@@ -57,47 +61,22 @@ BenchOptions BenchOptions::fromEnvironment(std::size_t defaultTopologies,
 }
 
 void applyEnvironmentOverrides(ScenarioConfig& config) {
-  // Unsigned parse of a whole string; false on garbage or a bad range.
-  const auto parseCount = [](const char* text, unsigned long long minValue,
-                             unsigned long long maxValue, std::size_t& out) {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (errno != 0 || end == text || *end != '\0' || v < minValue ||
-        v > maxValue) {
-      return false;
-    }
-    out = static_cast<std::size_t>(v);
-    return true;
+  // Each variable is its [scenario] key, read by the config file's rules.
+  static constexpr std::pair<const char*, std::string_view> kOverrides[] = {
+      {"MESH_RATE_CONTROL", "rate_control"},
+      {"MESH_CHANNELS", "channels"},
+      {"MESH_DOMAIN_WORKERS", "domain_workers"},
+      {"MESH_GATEWAYS", "gateways"},
   };
-  const auto read = [](const char* name) -> const char* {
-    const char* env = std::getenv(name);
-    return env != nullptr && *env != '\0' ? env : nullptr;
-  };
-
-  if (const char* env = read("MESH_RATE_CONTROL")) {
-    if (!rate::controlKindFromString(env, config.rateControl)) {
-      std::fprintf(stderr,
-                   "MESH_RATE_CONTROL=%s ignored (fixed/minstrel/genie)\n",
-                   env);
-    }
-  }
-  if (const char* env = read("MESH_CHANNELS")) {
-    if (!parseCount(env, 1, 255, config.channels)) {
-      std::fprintf(stderr, "MESH_CHANNELS=%s ignored (want 1..255)\n", env);
-    }
-  }
-  if (const char* env = read("MESH_DOMAIN_WORKERS")) {
-    if (!parseCount(env, 1, ~0ull, config.domainWorkers)) {
-      std::fprintf(stderr, "MESH_DOMAIN_WORKERS=%s ignored (want >= 1)\n",
-                   env);
-    }
-  }
-  // 0 disables the relay even when the config names gateway nodes.
-  if (const char* env = read("MESH_GATEWAYS")) {
-    if (!parseCount(env, 0, ~0ull, config.gateways)) {
-      std::fprintf(stderr, "MESH_GATEWAYS=%s ignored (want a count)\n", env);
-    } else if (config.gateways == 0) {
+  for (const auto& [variable, key] : kOverrides) {
+    const char* env = std::getenv(variable);
+    if (env == nullptr || *env == '\0') continue;
+    const std::string error = applyScenarioKey(config, key, env);
+    if (!error.empty()) {
+      std::fprintf(stderr, "%s=%s ignored (%s)\n", variable, env,
+                   error.c_str());
+    } else if (key == "gateways" && config.gateways == 0) {
+      // 0 disables the relay even when the config names gateway nodes.
       config.gatewayNodes.clear();
     }
   }

@@ -56,17 +56,20 @@ struct BenchOptions {
                                       std::int64_t defaultDurationS = 400);
 };
 
-// Applies the scenario-level environment overrides to `config`:
+// Applies the scenario-level environment overrides to `config`, each as
+// its [scenario] key through applyScenarioKey (config_file.hpp), so a
+// variable accepts exactly what the key accepts:
 //
-//   MESH_RATE_CONTROL    "fixed" / "minstrel" / "genie" -> rateControl
-//   MESH_CHANNELS        1..255 -> channels
-//   MESH_DOMAIN_WORKERS  >= 1 -> domainWorkers
-//   MESH_GATEWAYS        a count -> gateways (0 also clears gatewayNodes)
+//   MESH_RATE_CONTROL    rate_control    fixed / minstrel / genie
+//   MESH_CHANNELS        channels        1..255
+//   MESH_DOMAIN_WORKERS  domain_workers  1..255
+//   MESH_GATEWAYS        gateways        0..65534 (0 also clears gatewayNodes)
 //
-// Unset or empty variables leave the config alone; malformed values are
-// reported on stderr and ignored. Only program entry points call this
-// (meshsim and the bench scenario builders): the library itself never
-// reads the environment, so a Simulation is a pure function of its config.
+// Unset or empty variables leave the config alone; a value the key
+// refuses is reported on stderr with the key's reason and ignored. Only
+// program entry points call this (meshsim and the bench scenario
+// builders): the library itself never reads the environment, so a
+// Simulation is a pure function of its config.
 void applyEnvironmentOverrides(ScenarioConfig& config);
 
 // Per-protocol aggregation across topologies.

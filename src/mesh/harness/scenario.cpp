@@ -20,6 +20,14 @@ std::unique_ptr<phy::FadingModel> makeFading(bool rayleigh) {
   return std::make_unique<phy::NoFading>();
 }
 
+// A node listed twice joins its group once: fan-outs and sink sums count
+// each node once.
+std::vector<net::NodeId> distinctIds(std::vector<net::NodeId> ids) {
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
 }  // namespace
 
 ScenarioConfig paperSimulationScenario() {
@@ -114,6 +122,18 @@ std::vector<GroupSpec> makeStripedGroups(std::size_t nodeCount,
   return groups;
 }
 
+std::string repeatedSourceError(const std::vector<GroupSpec>& groups) {
+  std::vector<net::NodeId> sources;
+  for (const GroupSpec& spec : groups) {
+    sources.insert(sources.end(), spec.sources.begin(), spec.sources.end());
+  }
+  std::sort(sources.begin(), sources.end());
+  const auto twice = std::adjacent_find(sources.begin(), sources.end());
+  if (twice == sources.end()) return {};
+  return "node " + std::to_string(*twice) +
+         " is the source of more than one flow (one CBR flow per node)";
+}
+
 bool snapshotEligible(const ScenarioConfig& config) {
   // The static-geometry subset: placement, reachability rows, channel plan
   // and gateway roster are all decided once at build time and never move.
@@ -184,10 +204,18 @@ std::vector<Vec2> Simulation::placePositions(Rng& rng) const {
   std::vector<Vec2> positions = placeNodes(rng);
   if (config_.ensureConnected) {
     // 250 m is the nominal (fading-free) reception range.
-    int attempts = 0;
-    while (!diskGraphConnected(positions, 250.0)) {
+    constexpr int kAttempts = 1000;
+    for (int attempt = 1; !diskGraphConnected(positions, 250.0); ++attempt) {
+      if (attempt == kAttempts) {
+        char what[160];
+        std::snprintf(what, sizeof what,
+                      "no connected uniform placement of %zu nodes in "
+                      "%gx%g m after %d attempts",
+                      config_.nodeCount, config_.areaWidthM,
+                      config_.areaHeightM, kAttempts);
+        throw std::invalid_argument(what);
+      }
       positions = placeNodes(rng);
-      MESH_REQUIRE(++attempts < 1000);
     }
   }
   return positions;
@@ -282,6 +310,11 @@ void Simulation::build() {
                   "empty traffic window: stop %gs is not after start %gs",
                   config_.traffic.stop.toSeconds(),
                   config_.traffic.start.toSeconds());
+    throw std::invalid_argument(what);
+  }
+  // MeshNode holds one CBR source; a repeated one is a scenario error too.
+  if (const std::string what = repeatedSourceError(config_.groups);
+      !what.empty()) {
     throw std::invalid_argument(what);
   }
   // Orthogonal collision domains need static geometry: the plan is decided
@@ -571,7 +604,7 @@ void Simulation::buildFaults(Rng& rng) {
       for (const net::NodeId source : spec.sources) {
         if (plan_.channelOf(source) != d) continue;
         std::uint64_t f = 0;
-        for (const net::NodeId member : spec.members) {
+        for (const net::NodeId member : distinctIds(spec.members)) {
           if (member != source && plan_.channelOf(member) == d) ++f;
         }
         fanout += static_cast<double>(f);
@@ -754,23 +787,28 @@ RunResults Simulation::run() {
 }
 
 void Simulation::aggregateTraffic(RunResults& results) {
+  // A member node has one sink for every group it joined, so sinks are
+  // read once per node, not once per group that lists it.
+  std::vector<net::NodeId> allMembers;
   for (const GroupSpec& spec : config_.groups) {
+    const std::vector<net::NodeId> members = distinctIds(spec.members);
     for (const net::NodeId source : spec.sources) {
       const app::CbrSource* cbr = nodes_.at(source)->cbr();
       MESH_ASSERT(cbr != nullptr);
       results.packetsSent += cbr->packetsSent();
       // Every member except the source itself (a source may be a member)
       // should receive each packet.
-      std::uint64_t fanout = 0;
-      for (const net::NodeId member : spec.members) {
-        if (member != source) ++fanout;
-      }
+      std::uint64_t fanout = members.size();
+      if (std::binary_search(members.begin(), members.end(), source)) --fanout;
       results.expectedDeliveries += cbr->packetsSent() * fanout;
     }
-    for (const net::NodeId member : spec.members) {
-      const auto& sink = nodes_.at(member)->sink();
-      results.packetsDelivered += sink.packetsReceived();
-    }
+    allMembers.insert(allMembers.end(), members.begin(), members.end());
+  }
+  std::uint64_t payloadBits = 0;
+  for (const net::NodeId member : distinctIds(std::move(allMembers))) {
+    const auto& sink = nodes_.at(member)->sink();
+    results.packetsDelivered += sink.packetsReceived();
+    payloadBits += sink.payloadBytesReceived() * 8;
   }
 
   // Byte/frame totals read the same fields as the exported counters, so
@@ -794,12 +832,6 @@ void Simulation::aggregateTraffic(RunResults& results) {
                     : 0.0;
   const double activeS =
       (config_.traffic.stop - config_.traffic.start).toSeconds();
-  std::uint64_t payloadBits = 0;
-  for (const GroupSpec& spec : config_.groups) {
-    for (const net::NodeId member : spec.members) {
-      payloadBits += nodes_.at(member)->sink().payloadBytesReceived() * 8;
-    }
-  }
   results.throughputBps =
       activeS > 0.0 ? static_cast<double>(payloadBits) / activeS : 0.0;
   results.meanDelayS = delay.mean();

@@ -209,6 +209,11 @@ std::vector<GroupSpec> makeStripedGroups(std::size_t nodeCount,
                                          std::size_t membersPerGroup,
                                          std::size_t sourcesPerGroup, Rng& rng);
 
+// Each node runs at most one CBR flow. Returns the diagnostic naming the
+// first node that is the source of two (listed twice, or in two groups),
+// or "" when there is none.
+std::string repeatedSourceError(const std::vector<GroupSpec>& groups);
+
 // Aggregated outcome of one simulation run.
 struct RunResults {
   std::uint64_t packetsSent{0};        // CBR packets across all sources

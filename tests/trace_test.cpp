@@ -287,6 +287,32 @@ TEST(TraceReplay, RecomputesHarnessMetricsBitForBit) {
   }
 }
 
+TEST(TraceReplay, OverlappingGroupsCountEachMemberOnce) {
+  // Node 3 is a member of both groups, and listed twice in group 1: its one
+  // sink is read once, and each group's fan-out counts it once.
+  const std::string path = testing::TempDir() + "trace_replay_overlap.jsonl";
+  ScenarioConfig config = smallScenario(7);
+  config.groups = {harness::GroupSpec{1, {0}, {3, 3, 4}},
+                   harness::GroupSpec{2, {1}, {3}}};
+  config.seed = 7;
+  config.tracePath = path;
+
+  harness::Simulation sim{config};
+  const harness::RunResults results = sim.run();
+
+  const trace::TraceReadResult read = trace::readTraceFile(path);
+  ASSERT_TRUE(read.trace.has_value()) << read.error;
+  const trace::TraceSummary summary = trace::summarizeTrace(*read.trace);
+  EXPECT_GT(results.packetsDelivered, 0u);
+  EXPECT_LE(results.packetsDelivered, results.expectedDeliveries);
+  EXPECT_EQ(summary.packetsSent, results.packetsSent);
+  EXPECT_EQ(summary.expectedDeliveries, results.expectedDeliveries);
+  EXPECT_EQ(summary.packetsDelivered, results.packetsDelivered);
+  EXPECT_EQ(summary.pdr, results.pdr);
+  EXPECT_EQ(summary.throughputBps, results.throughputBps);
+  std::remove(path.c_str());
+}
+
 TEST(TraceReplay, TamperedCounterLineFailsTheRecordAudit) {
   const std::string path = testing::TempDir() + "trace_counters.jsonl";
   ScenarioConfig config = smallScenario(9);
